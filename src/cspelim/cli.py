@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .consistency import eliminate_singletons, enforce_ac
 from .engines import run_engine
-from .model import FormatError, load_instance, save_instance
+from .model import load_instance, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
                      naive_fixpoint, verify_one)
 from .patterns import RULES, checker_accepts
@@ -130,8 +130,7 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.input)
     cfg = SearchConfig(initial_backtracks=args.backtracks,
                        restart_factor=args.factor,
-                       time_limit=args.time_limit,
-                       seed=args.seed)
+                       time_limit=args.time_limit)
     log = [] if args.log else None
     code = EXIT_OK
     solution = None
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="geometric growth factor of the budget")
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock limit in seconds")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--log", help="write the search log here")
     p.add_argument("--out", help="write the solution file here (default stdout)")
     p.set_defaults(func=cmd_solve)
@@ -309,7 +307,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (FormatError, OSError, ValueError) as exc:
+    except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

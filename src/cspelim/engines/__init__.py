@@ -7,10 +7,8 @@ re-running the definitional checkers after every elimination.
 
 from ..model import Instance
 from ..trace import TraceEntry
-from .base import (Engine, EngineAudit, FlatSet, build_vars_plus_minus,
-                   check_engine_precondition, engine_step_audit)
-from .snake import ExistsSnakeEngine
-from .de_snake import DeSnakeEngine
+from .base import Engine, EngineAudit, check_engine_precondition
+from .snake import DeSnakeEngine, ExistsSnakeEngine
 from .triangle import TriangleEngine
 from .bt_degree import BTDegreeEngine
 from .aebtp import AEBTPEngine

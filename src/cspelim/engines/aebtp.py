@@ -12,7 +12,7 @@ input, so only neighbours are tracked.
 from __future__ import annotations
 
 from ..model import iter_bits
-from .base import Engine, engine_step_audit
+from .base import Engine
 
 
 class AEBTPEngine(Engine):
@@ -79,8 +79,8 @@ class AEBTPEngine(Engine):
             for key in dead:
                 del lbt[key]
             for key in freed:
-                engine_step_audit(
-                    self.audit, ("branch", "support-found", (m,) + key))
+                if self.audit is not None:
+                    self.audit.branch_fires[("support-found", (m,) + key)] += 1
                 del lbt[key]
                 j, v_j, _ = key
                 c = sup[(j, v_j)] + 1

@@ -13,75 +13,18 @@ import heapq
 from collections import Counter
 
 from ..consistency import NotArcConsistentError, is_arc_consistent
-from ..model import Instance, iter_bits
+from ..model import Instance
 from ..patterns import MIN_LIVE, checker_accepts
 from ..trace import TraceEntry, make_entry
 
 
-class FlatSet:
-    """Set over a fixed index universe: O(1) membership, add, discard,
-    and size."""
-
-    __slots__ = ("_table", "_count")
-
-    def __init__(self, universe: int, members=()):
-        self._table = bytearray(universe)
-        self._count = 0
-        for x in members:
-            self.add(x)
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self._table[x])
-
-    def add(self, x: int) -> None:
-        if not self._table[x]:
-            self._table[x] = 1
-            self._count += 1
-
-    def discard(self, x: int) -> None:
-        if self._table[x]:
-            self._table[x] = 0
-            self._count -= 1
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
-
-    def __iter__(self):
-        return (i for i, bit in enumerate(self._table) if bit)
-
-    def only_member(self) -> int:
-        if self._count != 1:
-            raise ValueError("set has %d members" % self._count)
-        return self._table.index(1)
-
-
 class EngineAudit:
-    """Collects engine diagnostics: queue insertions, branch firings,
-    table deltas."""
+    """Engine diagnostics: how often each table-update branch fired per
+    (label, key), and the (var, phase) of every queue insertion."""
 
     def __init__(self) -> None:
-        self.events: list[tuple] = []
         self.branch_fires: Counter = Counter()
         self.insertions: list[tuple] = []
-
-    def record(self, event: tuple) -> None:
-        self.events.append(event)
-        kind = event[0]
-        if kind == "branch":
-            # ("branch", label, key): label names the table-update branch
-            self.branch_fires[(event[1], event[2])] += 1
-        elif kind == "insert":
-            # ("insert", var, phase)
-            self.insertions.append(event[1:])
-
-
-def engine_step_audit(audit: EngineAudit, event: tuple) -> None:
-    """Record one engine step event (no-op when audit is None)."""
-    if audit is not None:
-        audit.record(event)
 
 
 class Engine:
@@ -94,10 +37,9 @@ class Engine:
     def __init__(self, inst: Instance, audit: EngineAudit | None = None):
         self.inst = inst
         self.audit = audit
-        self.universe = (max(inst.variables) + 1) if inst.n else 0
         self._heap: list[int] = []
-        self._queued = FlatSet(self.universe or 1)
-        self.eliminated = FlatSet(self.universe or 1)
+        self._queued: set[int] = set()
+        self.eliminated: set[int] = set()
 
     # -- queue -------------------------------------------------------
 
@@ -106,7 +48,8 @@ class Engine:
             return
         self._queued.add(i)
         heapq.heappush(self._heap, i)
-        engine_step_audit(self.audit, ("insert", i, phase))
+        if self.audit is not None:
+            self.audit.insertions.append((i, phase))
 
     def _pop(self):
         while self._heap:
@@ -144,7 +87,6 @@ class Engine:
                     "disagrees" % (i, self.rule))
             self.check_witness(i, witness)
             entries.append(make_entry(self.inst, self.rule, i, witness))
-            engine_step_audit(self.audit, ("eliminate", i))
             nbrs = self.inst.neighbors(i)
             self.eliminated.add(i)
             self.propagate(i, nbrs)
@@ -168,29 +110,6 @@ class Engine:
         `var` is still present in the instance (its rows are readable);
         implementations must treat it as gone."""
         raise NotImplementedError
-
-
-def build_vars_plus_minus(inst: Instance, universe: int) -> dict:
-    """(j, v, v') -> FlatSet of neighbours k of x_j where v has a
-    compatible value that v' lacks, i.e. where replacing v by v' would
-    lose support.  Shared table of the two snake engines; it only ever
-    shrinks as variables are eliminated."""
-    vpm: dict = {}
-    for j in inst.variables:
-        dom_j = inst.dom(j)
-        nbrs = inst.neighbors(j)
-        rows = {v: [(k, inst.row(j, k, v)) for k in nbrs] for v in dom_j}
-        for v in dom_j:
-            row_v = dict(rows[v])
-            for vp in dom_j:
-                if vp == v:
-                    continue
-                s = FlatSet(universe)
-                for k, r in rows[vp]:
-                    if row_v[k] & ~r:
-                        s.add(k)
-                vpm[(j, v, vp)] = s
-    return vpm
 
 
 def check_engine_precondition(inst: Instance) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..model import iter_bits
-from .base import Engine, engine_step_audit
+from .base import Engine
 
 
 def _canon(a: int, v_a: int, b: int, v_b: int) -> tuple:
@@ -141,12 +141,12 @@ class BTDegreeEngine(Engine):
                     continue
                 s.discard(var)
                 if len(s) == 1:
-                    engine_step_audit(
-                        self.audit, ("branch", "deg-one", (m,) + key))
+                    if self.audit is not None:
+                        self.audit.branch_fires[("deg-one", (m,) + key)] += 1
                     self._degree_now_one(m, st, *key)
                 elif not s:
-                    engine_step_audit(
-                        self.audit, ("branch", "deg-zero", (m,) + key))
+                    if self.audit is not None:
+                        self.audit.branch_fires[("deg-zero", (m,) + key)] += 1
                     self._degree_now_zero(m, st, *key)
             for key in dead:
                 del btv[key]

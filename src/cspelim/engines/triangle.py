@@ -12,7 +12,7 @@ eliminated — so queued candidates are revalidated before use.
 from __future__ import annotations
 
 from ..model import iter_bits
-from .base import Engine, engine_step_audit
+from .base import Engine
 
 
 class TriangleEngine(Engine):
@@ -103,8 +103,9 @@ class TriangleEngine(Engine):
                         if row_jv & lose[v_i]:
                             cnts[v_i] -= 1
                             if cnts[v_i] == 0:
-                                engine_step_audit(
-                                    self.audit, ("branch", "row-supported", key))
+                                if self.audit is not None:
+                                    self.audit.branch_fires[
+                                        ("row-supported", key)] += 1
                                 self.supported[key] = True
                                 del self.badcnt[key]
                                 c = self.count[(j, i)] - 1

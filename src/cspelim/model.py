@@ -28,7 +28,7 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _bits(mask: int):
+def iter_bits(mask: int):
     """Iterate set bit positions of mask, ascending."""
     while mask:
         low = mask & -mask
@@ -226,7 +226,7 @@ class Instance:
         for v in self._dom[i]:
             r = self.row(i, j, v)
             a = self._values[i][v]
-            out.extend((a, self._values[j][w]) for w in _bits(r))
+            out.extend((a, self._values[j][w]) for w in iter_bits(r))
         return frozenset(out)
 
     def __eq__(self, other: object) -> bool:
@@ -270,7 +270,8 @@ Source = Union[str, os.PathLike, TextIO]
 def _read_text(source: Source) -> str:
     if hasattr(source, "read"):
         return source.read()
-    return open(os.fspath(source), "r", encoding="utf-8").read()
+    with open(os.fspath(source), "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def parse_instance(text: str) -> Instance:
@@ -411,8 +412,3 @@ def save_instance(inst: Instance, target: Source, comment: str | None = None) ->
     else:
         with open(os.fspath(target), "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def iter_bits(mask: int):
-    """Public alias of the bit iterator (ascending positions)."""
-    return _bits(mask)

@@ -25,7 +25,6 @@ class SearchConfig:
     initial_backtracks: int = 100
     restart_factor: float = 1.1
     time_limit: Optional[float] = None
-    seed: Optional[int] = None  # reserved for randomised tie-breaking
 
     def __post_init__(self):
         if self.initial_backtracks < 1:

@@ -215,3 +215,14 @@ def test_cli_error_handling(tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["preprocess"]) == 1  # missing required arguments
     capsys.readouterr()
+
+
+def test_cli_reports_unexpected_errors(tmp_path, capsys, monkeypatch):
+    def deep_search(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("cspelim.cli.mac_solve", deep_search)
+    path = write_instance(tmp_path, star_instance(3))
+    assert main(["solve", path, "--rule", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion" in err

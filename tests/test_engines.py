@@ -4,10 +4,11 @@ and the work-bound bookkeeping."""
 import pytest
 
 from cspelim import (ENGINES, MIN_LIVE, NotArcConsistentError, RULES,
-                     build_instance, check_engine_precondition, enforce_ac,
-                     naive_fixpoint, run_engine)
+                     build_instance, check_engine_precondition,
+                     eliminate_singletons, enforce_ac, naive_fixpoint,
+                     run_engine)
 from cspelim.engines import EngineAudit
-from conftest import small_random, star_instance
+from conftest import random_tree_instance, small_random, star_instance
 
 
 def ac_instance(seed, **kw):
@@ -80,6 +81,23 @@ def test_engines_match_reference_on_denser_instances():
             eng_inst, eng_entries = run_engine(ac, rule)
             assert eng_inst == ref_inst, (seed, rule)
             assert eng_entries == ref_entries, (seed, rule)
+    # trees after singleton removal: the live indices are non-contiguous
+    # and run above 63, so the snake loss masks span several 64-bit words
+    checked = 0
+    for seed in range(12):
+        ac, _, ok = enforce_ac(random_tree_instance(80, 3, seed))
+        if not ok:
+            continue
+        ac, _ = eliminate_singletons(ac)
+        live = ac.variables
+        assert live != tuple(range(ac.n)) and live[-1] > 63, seed
+        checked += 1
+        for rule in ("exists-snake", "de-snake"):
+            ref_inst, ref_entries = naive_fixpoint(ac, rule)
+            eng_inst, eng_entries = run_engine(ac, rule)
+            assert eng_inst == ref_inst, ("tree", seed, rule)
+            assert eng_entries == ref_entries, ("tree", seed, rule)
+    assert checked >= 3
 
 
 def test_justifiers_are_live_at_elimination_time():

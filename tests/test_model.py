@@ -1,12 +1,14 @@
 """Instance representation, file format, and low-level accessors."""
 
+import gc
 import io
 import random
+import warnings
 
 import pytest
 
 from cspelim import (FormatError, Instance, build_instance, format_instance,
-                     iter_bits, parse_instance)
+                     iter_bits, load_instance, parse_instance, save_instance)
 from conftest import broken_tetrahedron_instance, small_random, star_instance
 
 
@@ -113,6 +115,16 @@ def test_format_parse_round_trip():
     # round-trip again through a file object
     again = parse_instance(io.StringIO(format_instance(back)).read())
     assert again == inst
+
+
+def test_load_instance_closes_the_file(tmp_path):
+    path = tmp_path / "inst.bcsp"
+    save_instance(star_instance(3), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_instance(path) == star_instance(3)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_round_trip_random_instances():
