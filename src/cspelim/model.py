@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import os
+from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence, TextIO, Union
 
 
@@ -267,11 +268,15 @@ def build_instance(domains, constraints=None) -> Instance:
 Source = Union[str, os.PathLike, TextIO]
 
 
-def _read_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        return source.read()
-    with open(os.fspath(source), "r", encoding="utf-8") as fh:
-        return fh.read()
+@contextmanager
+def open_text(target: Source, mode: str = "r", newline: str | None = None):
+    """A UTF-8 text stream for `target`: a path is opened (and closed on
+    exit), an open stream is passed through (and left open)."""
+    if not isinstance(target, (str, os.PathLike)):
+        yield target
+        return
+    with open(os.fspath(target), mode, encoding="utf-8", newline=newline) as fh:
+        yield fh
 
 
 def parse_instance(text: str) -> Instance:
@@ -372,7 +377,8 @@ def parse_instance(text: str) -> Instance:
 
 def load_instance(source: Source) -> Instance:
     """Load an instance from a path or an open text stream."""
-    return parse_instance(_read_text(source))
+    with open_text(source) as fh:
+        return parse_instance(fh.read())
 
 
 def format_instance(inst: Instance, comment: str | None = None) -> str:
@@ -407,8 +413,5 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
 def save_instance(inst: Instance, target: Source, comment: str | None = None) -> None:
     """Write an instance to a path or an open text stream."""
     text = format_instance(inst, comment)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(os.fspath(target), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open_text(target, "w") as fh:
+        fh.write(text)

@@ -46,51 +46,47 @@ def _guard(inst: Instance) -> None:
 # brute force
 
 
-def brute_force_solve(inst: Instance) -> Optional[dict]:
-    """Exhaustive backtracking; a solution dict (internal values) or None."""
+def _solutions(inst: Instance):
+    """Yield every solution (internal values) by exhaustive backtracking,
+    in lexicographic order of the values along ``inst.variables``."""
     _guard(inst)
     order = inst.variables
     if any(not inst.dom(i) for i in order):
-        return None
+        return
+    position = {i: p for p, i in enumerate(order)}
+    earlier = [[j for j in inst.neighbors(i) if position[j] < p]
+               for p, i in enumerate(order)]
     assign: dict = {}
-
-    def bt(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        i = order[idx]
-        nbrs = [j for j in inst.neighbors(i) if j in assign]
-        for v in inst.dom(i):
-            if all((inst.row(i, j, v) >> assign[j]) & 1 for j in nbrs):
+    untried: list = []  # one iterator per assigned variable, in order
+    while True:
+        if len(untried) == len(order):
+            yield dict(assign)
+        else:
+            untried.append(iter(inst.dom(order[len(untried)])))
+        # advance the deepest variable to its next consistent value,
+        # backing up past variables whose values are exhausted
+        while untried:
+            p = len(untried) - 1
+            i = order[p]
+            assign.pop(i, None)
+            v = next((v for v in untried[p]
+                      if all((inst.row(i, j, v) >> assign[j]) & 1
+                             for j in earlier[p])), None)
+            if v is not None:
                 assign[i] = v
-                if bt(idx + 1):
-                    return True
-                del assign[i]
-        return False
+                break
+            untried.pop()
+        else:
+            return
 
-    return dict(assign) if bt(0) else None
+
+def brute_force_solve(inst: Instance) -> Optional[dict]:
+    """Exhaustive backtracking; a solution dict (internal values) or None."""
+    return next(_solutions(inst), None)
 
 
 def count_solutions(inst: Instance) -> int:
-    _guard(inst)
-    order = inst.variables
-    if any(not inst.dom(i) for i in order):
-        return 0
-    assign: dict = {}
-
-    def bt(idx: int) -> int:
-        if idx == len(order):
-            return 1
-        i = order[idx]
-        nbrs = [j for j in inst.neighbors(i) if j in assign]
-        total = 0
-        for v in inst.dom(i):
-            if all((inst.row(i, j, v) >> assign[j]) & 1 for j in nbrs):
-                assign[i] = v
-                total += bt(idx + 1)
-                del assign[i]
-        return total
-
-    return bt(0)
+    return sum(1 for _ in _solutions(inst))
 
 
 def is_solution(inst: Instance, assignment: dict) -> bool:
@@ -317,7 +313,12 @@ VERIFY_COLUMNS = ("seed", "rule", "n_eliminated_naive", "n_eliminated_engine",
 
 def verify_one(ac: Instance, rule: str, seed: int) -> tuple[dict, bool]:
     """Compare engine against naive fixpoint on one AC instance; returns
-    (report row, ok flag)."""
+    (report row, ok flag).
+
+    Raises SizeGuardExceeded when the instance is too large to solve by
+    brute force, unless engine and fixpoint already disagree: then the
+    row comes back without its satisfiability columns and ok is False.
+    """
     from .engines import run_engine
     from .solver import reconstruct_solution
 
@@ -325,9 +326,20 @@ def verify_one(ac: Instance, rule: str, seed: int) -> tuple[dict, bool]:
     eng_inst, eng_entries = run_engine(ac, rule)
     agree = (naive_inst == eng_inst
              and [t.var for t in naive_entries] == [t.var for t in eng_entries])
+    row = {
+        "seed": seed,
+        "rule": rule,
+        "n_eliminated_naive": len(naive_entries),
+        "n_eliminated_engine": len(eng_entries),
+    }
 
-    sat_before = brute_force_solve(ac) is not None
-    reduced_solution = brute_force_solve(eng_inst)
+    try:
+        sat_before = brute_force_solve(ac) is not None
+        reduced_solution = brute_force_solve(eng_inst)
+    except SizeGuardExceeded:
+        if agree:
+            raise
+        return row, False
     sat_after = reduced_solution is not None
 
     recon_ok = True
@@ -335,26 +347,6 @@ def verify_one(ac: Instance, rule: str, seed: int) -> tuple[dict, bool]:
         full = reconstruct_solution(ac, eng_entries, reduced_solution)
         recon_ok = is_solution(ac, full)
 
-    row = {
-        "seed": seed,
-        "rule": rule,
-        "n_eliminated_naive": len(naive_entries),
-        "n_eliminated_engine": len(eng_entries),
-        "sat_before": int(sat_before),
-        "sat_after": int(sat_after),
-        "reconstruction_ok": int(recon_ok),
-    }
-    ok = agree and sat_before == sat_after and recon_ok
-    return row, ok
-
-
-def run_verification(rules, count: int, seed: int = 0, **params):
-    """Battery over `count` AC instances x rules.  Returns (rows, ok)."""
-    rows = []
-    all_ok = True
-    for s, ac in battery_ac_instances(count, seed, **params):
-        for rule in rules:
-            row, ok = verify_one(ac, rule, s)
-            rows.append(row)
-            all_ok = all_ok and ok
-    return rows, all_ok
+    row.update(sat_before=int(sat_before), sat_after=int(sat_after),
+               reconstruction_ok=int(recon_ok))
+    return row, agree and sat_before == sat_after and recon_ok

@@ -66,10 +66,6 @@ class SingletonWitness:
     value: int
 
 
-RuleWitness = (SnakeWitness, DeSnakeWitness, TriangleWitness,
-               ExtensionWitness, SingletonWitness)
-
-
 # ---------------------------------------------------------------------------
 # patterns
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .consistency import eliminate_singletons, enforce_ac
+from .consistency import eliminate_singletons, enforce_ac, revise_to_fixpoint
 from .model import Instance, iter_bits
 from .patterns import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
                        SnakeWitness, TriangleWitness)
@@ -69,7 +69,34 @@ class _Attempt:
 
     def run(self) -> Optional[dict]:
         masks = {i: self.inst.dom_mask(i) for i in self.inst.variables}
-        return self._node(masks)
+        # one frame per assigned variable: (variable, domains before its
+        # assignment, its untried values)
+        stack = []
+        while True:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise TimeBudgetExceeded()
+            x = self._pick(masks)
+            if x is None:
+                return dict(self.assigned)
+            stack.append((x, masks, iter_bits(masks[x])))
+            masks = None
+            while masks is None:
+                x, before, values = stack[-1]
+                for v in values:
+                    child = dict(before)
+                    child[x] = 1 << v
+                    if self._propagate(child, x):
+                        self.assigned[x] = v
+                        masks = child
+                        break
+                else:
+                    if self.backtracks >= self.budget:
+                        raise _Restart()
+                    self.backtracks += 1
+                    stack.pop()
+                    if not stack:
+                        return None
+                    del self.assigned[stack[-1][0]]
 
     def _pick(self, masks: dict) -> Optional[int]:
         """Smallest ratio of live values to weights of constraints toward
@@ -89,48 +116,16 @@ class _Attempt:
                 best, best_score = i, score
         return best
 
-    def _node(self, masks: dict) -> Optional[dict]:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceeded()
-        x = self._pick(masks)
-        if x is None:
-            return dict(self.assigned)
-        for v in iter_bits(masks[x]):
-            child = dict(masks)
-            child[x] = 1 << v
-            if self._propagate(child, x):
-                self.assigned[x] = v
-                found = self._node(child)
-                if found is not None:
-                    return found
-                del self.assigned[x]
-        if self.backtracks >= self.budget:
-            raise _Restart()
-        self.backtracks += 1
-        return None
-
     def _propagate(self, masks: dict, start: int) -> bool:
         """Re-establish arc consistency after narrowing `start`.  On a
         wipeout, bump the culprit constraint's weight and fail."""
-        inst = self.inst
-        queue = deque((j, start) for j in inst.neighbors(start))
-        while queue:
-            j, i = queue.popleft()
-            mi = masks[i]
-            kept = 0
-            for w in iter_bits(masks[j]):
-                if inst.row(j, i, w) & mi:
-                    kept |= 1 << w
-            if kept == masks[j]:
-                continue
-            masks[j] = kept
-            if not kept:
-                self.weights[(min(i, j), max(i, j))] += 1
-                return False
-            for k in inst.neighbors(j):
-                if k != i:
-                    queue.append((k, j))
-        return True
+        queue = deque((j, start) for j in self.inst.neighbors(start))
+        wipeout = revise_to_fixpoint(self.inst, masks, queue)
+        if wipeout is None:
+            return True
+        j, i = wipeout
+        self.weights[(min(i, j), max(i, j))] += 1
+        return False
 
 
 def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,

@@ -22,11 +22,10 @@ File format (values are written under their external names)::
 from __future__ import annotations
 
 import io
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .consistency import Deletion
-from .model import Instance, iter_bits
+from .model import Instance, iter_bits, open_text
 from .patterns import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
                        SnakeWitness, TriangleWitness)
 
@@ -112,11 +111,8 @@ def format_trace(entries, inst: Instance, pre_deletions=()) -> str:
 
 def write_trace(entries, inst: Instance, target, pre_deletions=()) -> None:
     text = format_trace(entries, inst, pre_deletions)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(os.fspath(target), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with open_text(target, "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +125,10 @@ def parse_trace(source, inst: Instance):
     Returns (entries, pre_deletions): deletions logged before the first
     elimination come back separately, later ones attach to their entry.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" in source:
+    if isinstance(source, str) and "\n" in source:
         text = source
     else:
-        with open(os.fspath(source), "r", encoding="utf-8") as fh:
+        with open_text(source) as fh:
             text = fh.read()
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

@@ -96,6 +96,22 @@ def random_tree_instance(n: int, d: int, seed: int) -> Instance:
     return build_instance([list(range(d))] * n, constraints)
 
 
+def disjoint_union(a: Instance, b: Instance) -> Instance:
+    """Two unconnected components: b's variables renumbered after a's.
+    Both inputs must use values 0..k-1 (internal = external)."""
+    domains = []
+    constraints = {}
+    for inst in (a, b):
+        renum = {old: len(domains) + new
+                 for new, old in enumerate(inst.variables)}
+        domains += [inst.dom(i) for i in inst.variables]
+        for i, j in inst.pairs():
+            constraints[(renum[i], renum[j])] = [
+                (v, w) for v in inst.dom(i) for w in inst.dom(j)
+                if inst.compatible(i, v, j, w)]
+    return build_instance(domains, constraints)
+
+
 def small_random(seed: int, n: int = 6, d: int = 3,
                  p1: float = 0.5, p2: float = 0.4) -> Instance:
     return random_instance(GeneratorConfig(n, d, p1, p2, seed=seed))

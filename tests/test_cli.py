@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,6 +160,32 @@ def test_verify_battery_csv(tmp_path, capsys):
         assert row["n_eliminated_naive"] == row["n_eliminated_engine"]
         assert row["sat_before"] == row["sat_after"]
         assert row["reconstruction_ok"] == "1"
+
+
+VERIFY_TOO_LARGE = ["verify", "--rules", "exists-snake", "--count", "2",
+                    "--seed", "7", "--n-min", "12", "--n-max", "12",
+                    "--d-min", "5", "--d-max", "5"]
+
+
+def test_verify_size_guard_skip_is_not_a_discrepancy(capsys):
+    assert main(VERIFY_TOO_LARGE) == 0
+    err = capsys.readouterr().err
+    assert err.count("search space exceeds") == 2
+    assert "discrepancy" not in err
+
+
+def test_verify_discrepancy_fails_despite_size_guard(monkeypatch, capsys):
+    import cspelim.oracle as oracle
+
+    def wrong_fixpoint(inst, rule):
+        # claims one elimination the engine does not make
+        return inst.copy(), [SimpleNamespace(var=inst.variables[0])]
+
+    monkeypatch.setattr(oracle, "naive_fixpoint", wrong_fixpoint)
+    assert main(VERIFY_TOO_LARGE) == 1
+    err = capsys.readouterr().err
+    assert err.count("discrepancy") == 2
+    assert "search space exceeds" not in err
 
 
 def test_verify_empty_battery_prints_header(capsys):

@@ -9,7 +9,8 @@ from cspelim import (CAUSE_AC, CAUSE_NS, build_instance, brute_force_solve,
                      eliminate_singletons, eliminate_variable, enforce_ac,
                      is_arc_consistent, ns_fixpoint)
 from conftest import (broken_triangle_instance, degree_gap_instance,
-                      small_random, star_instance)
+                      disjoint_union, random_tree_instance, small_random,
+                      star_instance)
 
 
 def slow_ac_domains(inst):
@@ -58,18 +59,26 @@ def test_gap_instance_loses_one_value(gap_inst):
 
 
 def test_enforce_ac_matches_slow_fixpoint():
-    for seed in range(60):
-        inst = small_random(seed, n=6, d=3, p2=0.55)
+    cases = [small_random(seed, n=6, d=3, p2=0.55) for seed in range(60)]
+    cases += [random_tree_instance(9, 2 + seed % 2, seed) for seed in range(12)]
+    cases += [disjoint_union(small_random(seed, n=5, d=3, p2=0.55),
+                             random_tree_instance(6, 2, seed))
+              for seed in range(12)]
+    cases.append(disjoint_union(star_instance(4), broken_triangle_instance()))
+    for inst in cases:
+        before = {i: list(inst.dom(i)) for i in inst.variables}
         reduced, log, ok = enforce_ac(inst)
         expect = slow_ac_domains(inst)
         assert ok == all(expect.values())
         if ok:
             assert {i: reduced.dom(i) for i in reduced.variables} == expect
             assert is_arc_consistent(reduced)
+            assert [(d.var, d.value) for d in log] == [
+                (i, v) for i in before for v in before[i] if v not in expect[i]]
         else:
             assert reduced.wiped
         # the original is untouched
-        assert all(len(inst.dom(i)) == inst.dom_size(i) for i in inst.variables)
+        assert {i: inst.dom(i) for i in inst.variables} == before
 
 
 def test_enforce_ac_preserves_satisfiability():

@@ -8,7 +8,8 @@ from cspelim import (ReconstructionError, SearchConfig, TimeBudgetExceeded,
                      brute_force_solve, build_instance, enforce_ac,
                      is_solution, mac_solve, naive_fixpoint,
                      reconstruct_solution, solve_with_preprocessing)
-from conftest import clique_instance, small_random, star_instance
+from conftest import (clique_instance, disjoint_union, random_tree_instance,
+                      small_random, star_instance)
 
 
 def test_search_config_validation():
@@ -22,17 +23,30 @@ def test_search_config_validation():
 
 def test_mac_agrees_with_brute_force():
     sat = unsat = 0
-    for seed in range(80):
-        inst = small_random(seed, n=6, d=3, p2=0.55)
+    cases = [small_random(seed, n=6, d=3, p2=0.55) for seed in range(80)]
+    cases += [random_tree_instance(7, 2 + seed % 2, seed) for seed in range(12)]
+    cases += [disjoint_union(small_random(seed, n=4, d=3, p2=0.55),
+                             small_random(seed + 1, n=4, d=3, p2=0.55))
+              for seed in range(12)]
+    for case, inst in enumerate(cases):
         expected = brute_force_solve(inst)
         got = mac_solve(inst)
-        assert (got is None) == (expected is None), seed
+        assert (got is None) == (expected is None), case
         if got is None:
             unsat += 1
         else:
-            assert is_solution(inst, got), seed
+            assert is_solution(inst, got), case
             sat += 1
     assert sat > 10 and unsat > 10  # exercised both verdicts
+
+
+def test_mac_solves_chain_longer_than_recursion_limit():
+    # one stack frame per assigned variable would overflow at ~1,000
+    n = 1200
+    neq = [(a, b) for a in range(3) for b in range(3) if a != b]
+    chain = build_instance([[0, 1, 2]] * n,
+                           {(i, i + 1): neq for i in range(n - 1)})
+    assert is_solution(chain, mac_solve(chain))
 
 
 def test_backtrack_free_run_logs_single_restart(star):
