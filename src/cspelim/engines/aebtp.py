@@ -17,6 +17,7 @@ from .base import Engine
 
 class AEBTPEngine(Engine):
     rule = "aebtp"
+    certify_neighbours = True
 
     def initialise(self) -> None:
         self.st: dict = {}
@@ -26,13 +27,16 @@ class AEBTPEngine(Engine):
     def _init_var(self, m: int) -> None:
         inst = self.inst
         nbrs = inst.neighbors(m)
+        # rows to and from x_m, each read once
+        rm = {(t, v): inst.row(t, m, v) for t in nbrs for v in inst.dom(t)}
+        mrow = {u: {t: inst.row(m, t, u) for t in nbrs} for u in inst.dom(m)}
         lbt: dict = {}        # (j, v_j, v_m) -> conflict witnesses
         sup: dict = {}        # (j, v_j) -> number of conflict-free v_m
         bad_count: dict = {}  # j -> its values with none (absent if 0)
         for j in nbrs:
             bc = 0
             for v_j in inst.dom(j):
-                r_jm = inst.row(j, m, v_j)
+                r_jm = rm[(j, v_j)]
                 # per i2: values compatible with v_j whose own row to m
                 # escapes v_j's row
                 w = {}
@@ -41,14 +45,14 @@ class AEBTPEngine(Engine):
                         continue
                     mask = 0
                     for v2 in iter_bits(inst.row(j, i2, v_j)):
-                        if inst.row(i2, m, v2) & ~r_jm:
+                        if rm[(i2, v2)] & ~r_jm:
                             mask |= 1 << v2
                     if mask:
                         w[i2] = mask
                 cnt = 0
                 for v_m in iter_bits(r_jm):
-                    s = {i2 for i2, mask in w.items()
-                         if mask & ~inst.row(m, i2, v_m)}
+                    row_m = mrow[v_m]
+                    s = {i2 for i2, mask in w.items() if mask & ~row_m[i2]}
                     if s:
                         lbt[(j, v_j, v_m)] = s
                     else:

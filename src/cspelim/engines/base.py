@@ -33,6 +33,11 @@ class Engine:
     through `push()` whenever their tables certify eliminability."""
 
     rule = ""
+    # Certify each elimination over x_i's neighbours only.  The extension
+    # rules set it: on the arc-consistent instances engines run on, their
+    # checkers give the same answer over that scope (see `check_aebtp`);
+    # the support-deletion check in `run` guards that premise.
+    certify_neighbours = False
 
     def __init__(self, inst: Instance, audit: EngineAudit | None = None):
         self.inst = inst
@@ -80,14 +85,16 @@ class Engine:
                 break
             if not self.revalidate(i):
                 continue
-            witness = checker_accepts(self.inst, self.rule, i)
+            nbrs = self.inst.neighbors(i)
+            witness = checker_accepts(
+                self.inst, self.rule, i,
+                among=nbrs if self.certify_neighbours else None)
             if witness is None:
                 raise AssertionError(
                     "engine tables certified %d for %s but the checker "
                     "disagrees" % (i, self.rule))
             self.check_witness(i, witness)
             entries.append(make_entry(self.inst, self.rule, i, witness))
-            nbrs = self.inst.neighbors(i)
             self.eliminated.add(i)
             self.propagate(i, nbrs)
             # a rule elimination on an arc-consistent instance never

@@ -24,6 +24,7 @@ def _canon(a: int, v_a: int, b: int, v_b: int) -> tuple:
 
 class BTDegreeEngine(Engine):
     rule = "bt-degree"
+    certify_neighbours = True
 
     def initialise(self) -> None:
         self.st: dict = {}
@@ -33,10 +34,9 @@ class BTDegreeEngine(Engine):
     def _init_var(self, m: int) -> None:
         inst = self.inst
         nbrs = inst.neighbors(m)
-        rm = {}
-        for t in nbrs:
-            for v in inst.dom(t):
-                rm[(t, v)] = inst.row(t, m, v)
+        # rows to and from x_m, each read once
+        rm = {(t, v): inst.row(t, m, v) for t in nbrs for v in inst.dom(t)}
+        mrow = {u: {t: inst.row(m, t, u) for t in nbrs} for u in inst.dom(m)}
 
         # btv[(i, v_i, u)]: neighbours j completing a broken triangle on
         # x_m with (x_i, v_i) in the base and u as one apex
@@ -44,34 +44,26 @@ class BTDegreeEngine(Engine):
         for i in nbrs:
             for v_i in inst.dom(i):
                 r_i = rm[(i, v_i)]
-                # per j: v_j with an apex escaping v_i / escaped by v_i
-                esc = {}
-                escd = {}
+                # per j: v_j compatible with v_i with an apex escaping
+                # v_i / escaped by v_i
+                esc = []
                 for j in nbrs:
                     if j == i:
                         continue
                     e_mask = d_mask = 0
-                    for v in inst.dom(j):
+                    for v in iter_bits(inst.row(i, j, v_i)):
                         r_jv = rm[(j, v)]
                         if r_jv & ~r_i:
                             e_mask |= 1 << v
                         if r_i & ~r_jv:
                             d_mask |= 1 << v
-                    esc[j] = e_mask
-                    escd[j] = d_mask
+                    esc.append((j, e_mask, d_mask))
                 for u in inst.dom(m):
-                    on_side = (r_i >> u) & 1
-                    s = set()
-                    for j in nbrs:
-                        if j == i:
-                            continue
-                        base_row = inst.row(i, j, v_i)
-                        if on_side:
-                            hit = base_row & ~inst.row(m, j, u) & esc[j]
-                        else:
-                            hit = base_row & inst.row(m, j, u) & escd[j]
-                        if hit:
-                            s.add(j)
+                    row_m = mrow[u]
+                    if (r_i >> u) & 1:
+                        s = {j for j, e, _ in esc if e & ~row_m[j]}
+                    else:
+                        s = {j for j, _, d in esc if d & row_m[j]}
                     btv[(i, v_i, u)] = s
 
         # degree-derived masks over u, then pair counts

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .model import Instance, iter_bits
 
@@ -287,9 +287,19 @@ def is_3safe(inst: Instance, i: int, v_i: int, j: int, v_j: int, m: int) -> bool
 # extension rules
 
 
-def check_bt_degree_property(inst: Instance, m: int) -> bool:
+def check_bt_degree_property(inst: Instance, m: int,
+                             among: Optional[Iterable[int]] = None) -> bool:
     """Every consistent base pair extends to x_m through a value that is
-    degree-free on one side, or the base itself is 3-safe."""
+    degree-free on one side, or the base itself is 3-safe.
+
+    `among` restricts the base pairs to those variables (default: every
+    other variable).  Over x_m's neighbours the answer is the full one
+    whenever D(x_m) is non-empty and every value at a neighbour has a
+    support in it, as on any arc-consistent instance.  A non-neighbour
+    x_i sees all of D(x_m), so (x_i, v_i) is in the base of no broken
+    triangle on x_m and its degree is 0 at every apex; a pair containing
+    it then holds as soon as the two rows to x_m intersect, and the
+    intersection is the other value's support, or D(x_m) itself."""
     if inst.n < 3:
         raise ValueError("need at least 3 variables")
     memo: dict = {}
@@ -300,7 +310,8 @@ def check_bt_degree_property(inst: Instance, m: int) -> bool:
             memo[key] = bt_degree(inst, a, va, m, u)
         return memo[key]
 
-    others = [t for t in inst.variables if t != m]
+    others = [t for t in (inst.variables if among is None else among)
+              if t != m]
     for i, j in combinations(others, 2):
         for v_i in inst.dom(i):
             rim = inst.row(i, m, v_i)
@@ -329,10 +340,18 @@ def _apex_conflict(inst: Instance, m: int, i1: int, v1: int, vm: int, r1m: int) 
     return False
 
 
-def check_aebtp(inst: Instance, m: int) -> bool:
+def check_aebtp(inst: Instance, m: int,
+                among: Optional[Iterable[int]] = None) -> bool:
     """For every assignment elsewhere there is a compatible value of x_m
-    that is apex of no broken triangle through that assignment."""
-    for i1 in inst.variables:
+    that is apex of no broken triangle through that assignment.
+
+    `among` restricts the assignments to those variables (default: every
+    other variable).  Over x_m's neighbours the answer is the full one
+    whenever D(x_m) is non-empty, as on any arc-consistent instance.  A
+    non-neighbour x_i1 sees all of D(x_m), so no value of x_m escapes
+    its row, (x_i1, v1) is in the base of no broken triangle on x_m, and
+    every value of x_m extends it."""
+    for i1 in (inst.variables if among is None else among):
         if i1 == m:
             continue
         for v1 in inst.dom(i1):
@@ -452,11 +471,16 @@ def check_1fbtp(inst: Instance, m: int) -> bool:
 # dispatch
 
 
-def checker_accepts(inst: Instance, rule: str, i: int):
+def checker_accepts(inst: Instance, rule: str, i: int,
+                    among: Optional[Iterable[int]] = None):
     """Witness if `rule` licenses eliminating x_i right now, else None.
-    Applies the per-rule minimum-live-variable guard."""
+    Applies the per-rule minimum-live-variable guard.  `among` is passed
+    to the extension rules' checkers (see `check_aebtp`); any other rule
+    rejects it."""
     if rule not in RULES:
         raise ValueError("unknown rule %r" % rule)
+    if among is not None and rule not in ("aebtp", "bt-degree"):
+        raise ValueError("rule %r takes no variable scope" % rule)
     if inst.n < MIN_LIVE[rule]:
         return None
     if rule == "exists-snake":
@@ -466,5 +490,6 @@ def checker_accepts(inst: Instance, rule: str, i: int):
     if rule == "triangle":
         return check_triangle(inst, i)
     if rule == "aebtp":
-        return ExtensionWitness() if check_aebtp(inst, i) else None
-    return ExtensionWitness() if check_bt_degree_property(inst, i) else None
+        return ExtensionWitness() if check_aebtp(inst, i, among) else None
+    return (ExtensionWitness() if check_bt_degree_property(inst, i, among)
+            else None)

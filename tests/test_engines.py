@@ -3,10 +3,10 @@ and the work-bound bookkeeping."""
 
 import pytest
 
-from cspelim import (ENGINES, MIN_LIVE, NotArcConsistentError, RULES,
-                     build_instance, check_engine_precondition,
+from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, NotArcConsistentError,
+                     RULES, build_instance, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
-                     run_engine)
+                     random_instance, run_engine)
 from cspelim.engines import EngineAudit
 from conftest import random_tree_instance, small_random, star_instance
 
@@ -98,6 +98,45 @@ def test_engines_match_reference_on_denser_instances():
             assert eng_inst == ref_inst, ("tree", seed, rule)
             assert eng_entries == ref_entries, ("tree", seed, rule)
     assert checked >= 3
+    # sparse instances at n=20-30, every rule
+    for seed, n in enumerate((20, 22, 24, 26, 28, 30)):
+        ac, _, ok = enforce_ac(
+            random_instance(GeneratorConfig(n, 4, 2.5 / n, 0.25, seed)))
+        assert ok, seed
+        ac, _ = eliminate_singletons(ac)
+        assert ac.n >= 20, seed
+        for rule in RULES:
+            ref_inst, ref_entries = naive_fixpoint(ac, rule)
+            eng_inst, eng_entries = run_engine(ac, rule)
+            assert eng_inst == ref_inst, ("sparse", seed, rule)
+            assert eng_entries == ref_entries, ("sparse", seed, rule)
+
+
+@pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
+def test_engine_certification_rejects_uncertified_candidates(
+        monkeypatch, rule):
+    """Every variable queued regardless of the tables: the run-time
+    certification must catch some elimination the rule does not allow."""
+    cls = ENGINES[rule]
+    initialise = cls.initialise
+
+    def push_everything(self):
+        initialise(self)
+        for i in self.inst.variables:
+            self.push(i, "forced")
+
+    monkeypatch.setattr(cls, "initialise", push_everything)
+    rejected = 0
+    for seed in range(60):
+        ac = ac_instance(seed, n=6, d=3, p2=0.45)
+        if ac is None:
+            continue
+        try:
+            run_engine(ac, rule)
+        except AssertionError as exc:
+            assert "checker disagrees" in str(exc), (rule, seed)
+            rejected += 1
+    assert rejected >= 5, rule
 
 
 def test_justifiers_are_live_at_elimination_time():

@@ -9,10 +9,12 @@ from cspelim import (MIN_LIVE, RULES, bt_degree, build_instance, check_1fbtp,
                      check_aebtp, check_ae_broken_polyhedron,
                      check_bt_degree_property, check_de_snake,
                      check_exists_snake, check_triangle, checker_accepts,
-                     enforce_ac, enumerate_broken_triangles, is_3safe)
+                     eliminate_singletons, enforce_ac,
+                     enumerate_broken_triangles, is_3safe)
 from cspelim.patterns import (BrokenPolyhedron, BrokenTriangle,
                               find_broken_polyhedron, justifies, snake_occurs)
-from conftest import (pendant_chain_instance, small_random, star_instance)
+from conftest import (pendant_chain_instance, random_tree_instance,
+                      small_random, star_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +273,10 @@ def test_checker_accepts_guards():
     assert checker_accepts(pair, "triangle", 0) is not None
     with pytest.raises(ValueError):
         checker_accepts(pair, "btp", 0)
+    # only the extension rules take a variable scope
+    for rule in ("exists-snake", "de-snake", "triangle"):
+        with pytest.raises(ValueError):
+            checker_accepts(pair, rule, 0, among=[1])
 
 
 def test_checker_dispatch_matches_direct_calls():
@@ -284,6 +290,26 @@ def test_checker_dispatch_matches_direct_calls():
             == check_bt_degree_property(ac, i)
         assert (checker_accepts(ac, "aebtp", i) is not None) \
             == check_aebtp(ac, i)
+    # on arc-consistent input, the extension rules scoped to x_i's
+    # neighbours answer as the full definition does
+    battery = [enforce_ac(small_random(seed, n=7, d=3, p1=p1, p2=0.4))
+               for seed in range(30) for p1 in (0.3, 0.6)]
+    tree, _, ok = enforce_ac(random_tree_instance(30, 3, 5))
+    assert ok
+    battery.append((eliminate_singletons(tree)[0], None, True))
+    answers = {True: 0, False: 0}
+    for ac, _, ok in battery:
+        if not ok or ac.n < 3:
+            continue
+        for i in ac.variables:
+            nbrs = ac.neighbors(i)
+            assert (checker_accepts(ac, "aebtp", i, among=nbrs)
+                    is not None) == check_aebtp(ac, i)
+            full = check_bt_degree_property(ac, i)
+            assert (checker_accepts(ac, "bt-degree", i, among=nbrs)
+                    is not None) == full
+            answers[full] += 1
+    assert min(answers.values()) >= 20, answers
 
 
 # ---------------------------------------------------------------------------
