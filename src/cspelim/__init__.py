@@ -11,8 +11,8 @@ from .consistency import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Deletion,
                           ns_fixpoint)
 from .engines import (ENGINES, Engine, EngineAudit, check_engine_precondition,
                       run_engine)
-from .model import (FormatError, Instance, build_instance, format_instance,
-                    iter_bits, load_instance, parse_instance, save_instance)
+from .model import (FormatError, Instance, format_instance, iter_bits,
+                    load_instance, parse_instance, save_instance)
 from .oracle import (GeneratorConfig, SizeGuardExceeded, are_isomorphic,
                      brute_force_solve, count_solutions, is_solution,
                      max_eliminations_by_order, naive_fixpoint,
@@ -35,7 +35,7 @@ __all__ = [
     "enforce_ac", "is_arc_consistent", "ns_fixpoint",
     "ENGINES", "Engine", "EngineAudit", "check_engine_precondition",
     "run_engine",
-    "FormatError", "Instance", "build_instance", "format_instance",
+    "FormatError", "Instance", "format_instance",
     "iter_bits", "load_instance", "parse_instance", "save_instance",
     "GeneratorConfig", "SizeGuardExceeded", "are_isomorphic",
     "brute_force_solve", "count_solutions", "is_solution",

@@ -88,23 +88,23 @@ def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
     return cur, log, wipeout is None
 
 
-def eliminate_variable(inst: Instance, i: int) -> tuple[Instance, list[Deletion], bool]:
-    """Remove x_i: first delete neighbour values with no support at x_i,
-    then drop x_i and its constraints.  Satisfiability is unchanged when
-    a rule licensed the elimination; on an arc-consistent instance the
-    deletion log is always empty."""
-    cur = inst.copy()
+def eliminate_variable(inst: Instance, i: int) -> tuple[list[Deletion], bool]:
+    """Remove x_i from `inst` in place: first delete neighbour values with
+    no support at x_i, then drop x_i and its constraints.  Returns
+    (deletion log, ok); ok is False iff some neighbour's domain is empty.
+    Satisfiability is unchanged when a rule licensed the elimination; on
+    an arc-consistent instance the deletion log is always empty."""
     log: list[Deletion] = []
     ok = True
-    for j in cur.neighbors(i):
-        for w in list(cur.dom(j)):
-            if not cur.row(j, i, w):
-                cur.delete_value(j, w)
+    for j in inst.neighbors(i):
+        for w in list(inst.dom(j)):
+            if not inst.row(j, i, w):
+                inst.delete_value(j, w)
                 log.append(Deletion(j, w, CAUSE_ELIM))
-        if not cur.dom(j):
+        if not inst.dom(j):
             ok = False
-    cur.remove_variable(i)
-    return cur, log, ok
+    inst.remove_variable(i)
+    return log, ok
 
 
 def eliminate_singletons(inst: Instance):
@@ -122,7 +122,7 @@ def eliminate_singletons(inst: Instance):
             break
         value = cur.dom(single)[0]
         doms, rels = capture_snapshot(cur, single)
-        cur, log, ok = eliminate_variable(cur, single)
+        log, ok = eliminate_variable(cur, single)
         entries.append(TraceEntry("singleton", single, SingletonWitness(value),
                                   doms, rels, deletions=tuple(log)))
         if not ok:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 
-from ..consistency import NotArcConsistentError, is_arc_consistent
+from ..consistency import (NotArcConsistentError, eliminate_variable,
+                           is_arc_consistent)
 from ..model import Instance
 from ..patterns import MIN_LIVE, checker_accepts
 from ..trace import TraceEntry, make_entry
@@ -98,13 +99,11 @@ class Engine:
             self.eliminated.add(i)
             self.propagate(i, nbrs)
             # a rule elimination on an arc-consistent instance never
-            # deletes values; verify before dropping the variable
-            for j in nbrs:
-                if any(not self.inst.row(j, i, w) for w in self.inst.dom(j)):
-                    raise AssertionError(
-                        "support deletion during engine run: input was "
-                        "not arc consistent")
-            self.inst.remove_variable(i)
+            # deletes values
+            if eliminate_variable(self.inst, i)[0]:
+                raise AssertionError(
+                    "support deletion during engine run: input was "
+                    "not arc consistent")
         return self.inst, entries
 
     # -- subclass API ------------------------------------------------

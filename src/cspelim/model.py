@@ -45,7 +45,7 @@ class Instance:
     rewritten; queries mask deleted values out on the fly.
     """
 
-    __slots__ = ("_active", "_dom", "_mask", "_values", "_rows", "_adj", "_pairs")
+    __slots__ = ("_active", "_dom", "_mask", "_values", "_rows", "_adj")
 
     def __init__(self) -> None:
         self._active: set[int] = set()
@@ -54,7 +54,6 @@ class Instance:
         self._values: dict[int, list[int]] = {}  # internal -> external name
         self._rows: dict[tuple[int, int], list[int]] = {}
         self._adj: dict[int, set[int]] = {}
-        self._pairs: set[tuple[int, int]] = set()
 
     # -- construction ------------------------------------------------
 
@@ -93,9 +92,9 @@ class Instance:
             raise ValueError("self constraint on variable %d" % i)
         if i not in self._active or j not in self._active:
             raise ValueError("constraint on unknown variable (%d,%d)" % (i, j))
-        key = (min(i, j), max(i, j))
-        if key in self._pairs:
-            raise ValueError("duplicate constraint (%d,%d)" % key)
+        if (i, j) in self._rows:
+            raise ValueError("duplicate constraint (%d,%d)"
+                             % (min(i, j), max(i, j)))
         fwd = [0] * len(self._values[i])
         rev = [0] * len(self._values[j])
         index_i = {v: p for p, v in enumerate(self._values[i])}
@@ -107,7 +106,6 @@ class Instance:
                 raise ValueError("value %d not in domain of variable %d" % (b, j))
             fwd[index_i[a]] |= 1 << index_j[b]
             rev[index_j[b]] |= 1 << index_i[a]
-        self._pairs.add(key)
         self._rows[(i, j)] = fwd
         self._rows[(j, i)] = rev
         self._adj[i].add(j)
@@ -121,7 +119,6 @@ class Instance:
         dup._values = self._values  # immutable once built
         dup._rows = dict(self._rows)  # row lists are never mutated
         dup._adj = {i: set(s) for i, s in self._adj.items()}
-        dup._pairs = set(self._pairs)
         return dup
 
     # -- queries -----------------------------------------------------
@@ -137,7 +134,7 @@ class Instance:
     @property
     def e(self) -> int:
         """Number of declared (explicit) constraints between live variables."""
-        return len(self._pairs)
+        return len(self._rows) // 2
 
     @property
     def wiped(self) -> bool:
@@ -164,10 +161,10 @@ class Instance:
         return sorted(self._adj[i])
 
     def constrains(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._pairs
+        return (i, j) in self._rows
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._pairs)
+        return sorted(key for key in self._rows if key[0] < key[1])
 
     def row(self, i: int, j: int, v: int) -> int:
         """Mask over live D(x_j) of values allowed with x_i = v."""
@@ -215,7 +212,6 @@ class Instance:
         self._active.discard(i)
         for j in list(self._adj[i]):
             self._adj[j].discard(i)
-            self._pairs.discard((min(i, j), max(i, j)))
             self._rows.pop((i, j), None)
             self._rows.pop((j, i), None)
         self._adj[i] = set()
@@ -240,9 +236,9 @@ class Instance:
         for i in self._active:
             if self.value_names(i) != other.value_names(i):
                 return False
-        if self._pairs != other._pairs:
+        if self._rows.keys() != other._rows.keys():
             return False
-        for i, j in self._pairs:
+        for i, j in self.pairs():
             if self._relation_names(i, j) != other._relation_names(i, j):
                 return False
         return True
@@ -259,10 +255,6 @@ class Instance:
         rels = tuple((i, j, tuple(sorted(self._relation_names(i, j))))
                      for i, j in self.pairs())
         return (doms, rels)
-
-
-def build_instance(domains, constraints=None) -> Instance:
-    return Instance.build(domains, constraints)
 
 
 Source = Union[str, os.PathLike, TextIO]

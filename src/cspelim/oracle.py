@@ -15,7 +15,7 @@ from typing import Optional
 
 from .consistency import (NotArcConsistentError, eliminate_variable,
                           enforce_ac, is_arc_consistent, ns_fixpoint)
-from .model import Instance, build_instance, iter_bits
+from .model import Instance, iter_bits
 from .patterns import checker_accepts
 from .trace import TraceEntry, capture_snapshot
 
@@ -127,7 +127,7 @@ def naive_fixpoint(inst: Instance, rule: str, ns_interleave: bool = False):
             if witness is None:
                 continue
             doms, rels = capture_snapshot(cur, i)
-            cur, log, ok = eliminate_variable(cur, i)
+            log, ok = eliminate_variable(cur, i)
             if log:
                 raise AssertionError(
                     "support deletion while eliminating %d from an "
@@ -174,7 +174,7 @@ def random_instance(config: GeneratorConfig) -> Instance:
         if rng.random() < config.p1:
             constraints[(i, j)] = [(a, b) for a in values for b in values
                                    if rng.random() >= config.p2]
-    return build_instance([values] * config.n, constraints)
+    return Instance.build([values] * config.n, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,8 @@ def max_eliminations_by_order(inst: Instance, rule: str,
         for i in cur.variables:
             if checker_accepts(cur, rule, i) is None:
                 continue
-            nxt, _, ok = eliminate_variable(cur, i)
+            nxt = cur.copy()
+            _, ok = eliminate_variable(nxt, i)
             if ns_interleave:
                 nxt, _ = ns_fixpoint(nxt)
             score = 1 + (go(nxt) if ok else 0)
@@ -272,7 +273,7 @@ def max_eliminations_by_order(inst: Instance, rule: str,
         memo[key] = best
         return best
 
-    return go(inst.copy())
+    return go(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from cspelim import GeneratorConfig, Instance, build_instance, random_instance
+from cspelim import GeneratorConfig, Instance, random_instance
 
 
 def broken_triangle_instance() -> Instance:
@@ -19,7 +19,7 @@ def broken_triangle_instance() -> Instance:
     x0-x1 {(a,b)}, x0-x2 {(a,c)}, x1-x2 {(b,d)}.  Not arc consistent:
     propagation wipes x2.
     """
-    return build_instance(
+    return Instance.build(
         [[0], [0], [0, 1]],
         {(0, 1): [(0, 0)], (0, 2): [(0, 0)], (1, 2): [(0, 1)]})
 
@@ -28,7 +28,7 @@ def broken_tetrahedron_instance() -> Instance:
     """Singleton base variables x0={vi=0}, x1={vj=0}, x2={vk=0} plus
     x3 = {u=0, u'=1, u''=2}; the base is pairwise compatible and each
     apex value conflicts with exactly one base variable."""
-    return build_instance(
+    return Instance.build(
         [[0], [0], [0], [0, 1, 2]],
         {(0, 1): [(0, 0)], (0, 2): [(0, 0)], (1, 2): [(0, 0)],
          (0, 3): [(0, 0), (0, 1)],
@@ -40,7 +40,7 @@ def degree_gap_instance() -> Instance:
     """x0 = {vi=0}, x1 = {vj1=0, vj2=1}, x2 = {vm=0, vm1=1, vm2=2}.
     x2 passes the along-degree test but fails the extension test; vm has
     no support at x0, so the raw instance is not arc consistent."""
-    return build_instance(
+    return Instance.build(
         [[0], [0, 1], [0, 1, 2]],
         {(0, 1): [(0, 0), (0, 1)],
          (1, 2): [(0, 0), (0, 1), (1, 0), (1, 2)],
@@ -52,7 +52,7 @@ def star_instance(n: int) -> Instance:
     relation an inequality; leaves mutually unconstrained.  Exactly two
     solutions (the two proper 2-colourings)."""
     neq = [(0, 1), (1, 0)]
-    return build_instance([[0, 1]] * n,
+    return Instance.build([[0, 1]] * n,
                           {(0, k): neq for k in range(1, n)})
 
 
@@ -61,20 +61,20 @@ def pendant_chain_instance() -> Instance:
     equality.  x0 and x2 each have exactly one neighbour."""
     neq = [(a, b) for a in range(3) for b in range(3) if a != b]
     eq = [(a, a) for a in range(3)]
-    return build_instance([[0, 1, 2]] * 3, {(0, 1): neq, (1, 2): eq})
+    return Instance.build([[0, 1, 2]] * 3, {(0, 1): neq, (1, 2): eq})
 
 
 def clique_instance(n: int, d: int) -> Instance:
     """Pairwise-inequality clique: unsatisfiable whenever n > d."""
     neq = [(a, b) for a in range(d) for b in range(d) if a != b]
-    return build_instance([list(range(d))] * n,
+    return Instance.build([list(range(d))] * n,
                           {(i, j): neq for i in range(n) for j in range(i + 1, n)})
 
 
 def clone_pair_instance() -> Instance:
     """x0 and x1 are interchangeable clones (equality between them and
     identical rows elsewhere); each justifies eliminating the other."""
-    return build_instance(
+    return Instance.build(
         [[0, 1]] * 4,
         {(0, 1): [(0, 0), (1, 1)],
          (0, 2): [(0, 0), (0, 1), (1, 0)],
@@ -93,7 +93,7 @@ def random_tree_instance(n: int, d: int, seed: int) -> Instance:
         if not pairs:
             pairs = [(rng.randrange(d), rng.randrange(d))]
         constraints[(parent, child)] = pairs
-    return build_instance([list(range(d))] * n, constraints)
+    return Instance.build([list(range(d))] * n, constraints)
 
 
 def disjoint_union(a: Instance, b: Instance) -> Instance:
@@ -109,7 +109,7 @@ def disjoint_union(a: Instance, b: Instance) -> Instance:
             constraints[(renum[i], renum[j])] = [
                 (v, w) for v in inst.dom(i) for w in inst.dom(j)
                 if inst.compatible(i, v, j, w)]
-    return build_instance(domains, constraints)
+    return Instance.build(domains, constraints)
 
 
 def small_random(seed: int, n: int = 6, d: int = 3,

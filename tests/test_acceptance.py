@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from cspelim import (GeneratorConfig, RULES, are_isomorphic,
-                     brute_force_solve, bt_degree, build_instance,
+from cspelim import (GeneratorConfig, Instance, RULES, are_isomorphic,
+                     brute_force_solve, bt_degree,
                      check_1fbtp, check_aebtp, check_ae_broken_polyhedron,
                      check_bt_degree_property,
                      checker_accepts, count_solutions, eliminate_variable,
@@ -105,7 +105,8 @@ def test_criterion_04_star_solution_counts():
         star = star_instance(n)
         ok = ok and count_solutions(star) == 2
         ok = ok and checker_accepts(star, "de-snake", 0) is not None
-        reduced, _, elim_ok = eliminate_variable(star, 0)
+        reduced = star.copy()
+        _, elim_ok = eliminate_variable(reduced, 0)
         ok = ok and elim_ok and count_solutions(reduced) == 2 ** (n - 1)
     report(4, "star counts 2 -> 2^(n-1)", ok)
 
@@ -136,7 +137,7 @@ def universal_value_instance():
     """The first value of x0 is compatible with everything, so every
     extension-style rule accepts x0; the broken triangle between its other
     two values has no support variable."""
-    return build_instance(
+    return Instance.build(
         [[0, 1, 2], [0], [0]],
         {(0, 1): [(0, 0), (1, 0)], (0, 2): [(0, 0), (2, 0)]})
 
@@ -198,7 +199,8 @@ def test_criterion_09_hereditary_confluence():
 
 def test_criterion_10_triangle_confluence_modulo_substitution():
     def ns_after_eliminating(inst, i):
-        reduced, _, ok = eliminate_variable(inst, i)
+        reduced = inst.copy()
+        _, ok = eliminate_variable(reduced, i)
         assert ok
         return ns_fixpoint(reduced)[0]
 
@@ -220,8 +222,9 @@ def test_criterion_10_triangle_confluence_modulo_substitution():
                 if justifies(inst, i, j) is None or \
                         justifies(inst, j, i) is None:
                     continue
-                a, _, ok_a = eliminate_variable(inst, i)
-                b, _, ok_b = eliminate_variable(inst, j)
+                a, b = inst.copy(), inst.copy()
+                _, ok_a = eliminate_variable(a, i)
+                _, ok_b = eliminate_variable(b, j)
                 if not (ok_a and ok_b):
                     continue
                 pairs += 1

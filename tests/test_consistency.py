@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from cspelim import (CAUSE_AC, CAUSE_NS, build_instance, brute_force_solve,
-                     eliminate_singletons, eliminate_variable, enforce_ac,
-                     is_arc_consistent, ns_fixpoint)
+from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Instance,
+                     brute_force_solve, eliminate_singletons,
+                     eliminate_variable, enforce_ac, is_arc_consistent,
+                     ns_fixpoint)
 from conftest import (broken_triangle_instance, degree_gap_instance,
                       disjoint_union, random_tree_instance, small_random,
                       star_instance)
@@ -92,26 +93,28 @@ def test_enforce_ac_preserves_satisfiability():
 
 def test_eliminate_variable_star_center(star):
     inst = star(5)
-    reduced, log, ok = eliminate_variable(inst, 0)
+    log, ok = eliminate_variable(inst, 0)
     assert ok and log == []
-    assert reduced.variables == (1, 2, 3, 4)
-    assert reduced.e == 0
-    assert inst.n == 5
+    # the elimination happens in place
+    assert inst.variables == (1, 2, 3, 4)
+    assert inst.e == 0
+    assert not inst.is_active(0)
 
 
 def test_eliminate_variable_deletes_unsupported_values():
-    inst = build_instance([[0], [0, 1]], {(0, 1): [(0, 0)]})
-    reduced, log, ok = eliminate_variable(inst, 0)
+    inst = Instance.build([[0], [0, 1]], {(0, 1): [(0, 0)]})
+    log, ok = eliminate_variable(inst, 0)
     assert ok
     assert [(d.var, d.value) for d in log] == [(1, 1)]
-    assert reduced.dom(1) == [0]
+    assert all(d.cause == CAUSE_ELIM for d in log)
+    assert inst.dom(1) == [0]
 
 
 def test_eliminate_variable_reports_wipeout():
-    inst = build_instance([[0, 1], [0]], {(0, 1): []})
-    reduced, log, ok = eliminate_variable(inst, 0)
+    inst = Instance.build([[0, 1], [0]], {(0, 1): []})
+    log, ok = eliminate_variable(inst, 0)
     assert not ok
-    assert reduced.wiped
+    assert inst.wiped
 
 
 def test_singletons_on_arc_consistent_input(gap_inst):
@@ -126,9 +129,9 @@ def test_singletons_on_arc_consistent_input(gap_inst):
     assert is_arc_consistent(reduced)
 
 
-def test_singletons_cascade():
+def test_singletons_cascade(monkeypatch):
     # x0 fixed; equality chain forces x1 then x2 once predecessors leave
-    inst = build_instance([[0], [0, 1], [0, 1]],
+    inst = Instance.build([[0], [0, 1], [0, 1]],
                           {(0, 1): [(0, 0)], (1, 2): [(0, 0), (1, 1)]})
     ac, _, ok = enforce_ac(inst)
     assert ok
@@ -136,9 +139,27 @@ def test_singletons_cascade():
     assert [e.var for e in entries] == [0, 1, 2]
     assert reduced.n == 0
 
+    # a long chain is removed after one copy of the input, which stays
+    # untouched
+    n = 300
+    cons = {(i, i + 1): [(0, 0), (1, 1)] for i in range(1, n - 1)}
+    cons[(0, 1)] = [(0, 0)]
+    chain = Instance.build([[0]] + [[0, 1]] * (n - 1), cons)
+    ac, _, ok = enforce_ac(chain)
+    assert ok
+    copies = []
+    real_copy = Instance.copy
+    monkeypatch.setattr(Instance, "copy",
+                        lambda self: copies.append(1) or real_copy(self))
+    reduced, entries = eliminate_singletons(ac)
+    assert [e.var for e in entries] == list(range(n))
+    assert reduced.n == 0
+    assert len(copies) == 1
+    assert ac.n == n
+
 
 def test_ns_deletes_dominated_values():
-    inst = build_instance([[0, 1], [0, 1]],
+    inst = Instance.build([[0, 1], [0, 1]],
                           {(0, 1): [(0, 0), (0, 1), (1, 0)]})
     reduced, log = ns_fixpoint(inst)
     assert all(d.cause == CAUSE_NS for d in log)
@@ -156,7 +177,7 @@ def test_ns_keeps_incomparable_values(star):
 
 def test_ns_interchangeable_values_drop_larger_index():
     # x0's two values have identical supports; exactly one survives
-    inst = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
+    inst = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
     reduced, log = ns_fixpoint(inst)
     assert (0, 1) in {(d.var, d.value) for d in log}
     assert reduced.dom(0) == [0]

@@ -3,8 +3,8 @@ and the work-bound bookkeeping."""
 
 import pytest
 
-from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, NotArcConsistentError,
-                     RULES, build_instance, check_engine_precondition,
+from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
+                     NotArcConsistentError, RULES, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
                      random_instance, run_engine)
 from cspelim.engines import EngineAudit
@@ -38,6 +38,16 @@ def test_input_instance_left_untouched(star):
     assert inst.n == 4
     assert reduced.n == 0
     assert len(entries) == 4
+
+
+@pytest.mark.parametrize("rule", ["exists-snake", "de-snake"])
+def test_engine_run_rejects_support_deletion(rule):
+    # not arc consistent: x1 = 1 has no support at x0.  Building the
+    # engine directly skips run_engine's precondition, so the guard in
+    # run() is what catches it when x0 is eliminated.
+    inst = Instance.build([[0], [0, 1]], {(0, 1): [(0, 0)]})
+    with pytest.raises(AssertionError, match="support deletion"):
+        ENGINES[rule](inst).run()
 
 
 def test_star_eliminates_completely(star):
@@ -200,11 +210,11 @@ def test_work_scales_with_declared_size():
 
 
 def test_empty_and_tiny_instances():
-    empty = build_instance([])
+    empty = Instance.build([])
     for rule in RULES:
         reduced, entries = run_engine(empty, rule)
         assert reduced.n == 0 and entries == []
-    lone = build_instance([[0, 1]])
+    lone = Instance.build([[0, 1]])
     for rule in ("triangle", "aebtp", "bt-degree"):
         reduced, entries = run_engine(lone, rule)
         assert reduced.n == 1 and entries == []

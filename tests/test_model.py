@@ -7,13 +7,13 @@ import warnings
 
 import pytest
 
-from cspelim import (FormatError, Instance, build_instance, format_instance,
+from cspelim import (FormatError, Instance, format_instance,
                      iter_bits, load_instance, parse_instance, save_instance)
 from conftest import broken_tetrahedron_instance, small_random, star_instance
 
 
 def test_build_renumbers_and_keeps_names():
-    inst = build_instance([[5, 3], [10, 20, 30]], {(0, 1): [(3, 10), (5, 30)]})
+    inst = Instance.build([[5, 3], [10, 20, 30]], {(0, 1): [(3, 10), (5, 30)]})
     assert inst.variables == (0, 1)
     assert inst.dom(0) == [0, 1]
     assert inst.value_names(0) == [3, 5]
@@ -28,17 +28,17 @@ def test_build_renumbers_and_keeps_names():
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_instance([[0, 0]])
+        Instance.build([[0, 0]])
     with pytest.raises(ValueError):
-        build_instance([[-1, 0]])
+        Instance.build([[-1, 0]])
     with pytest.raises(ValueError):
-        build_instance([[0]], {(0, 0): [(0, 0)]})
+        Instance.build([[0]], {(0, 0): [(0, 0)]})
     with pytest.raises(ValueError):
-        build_instance([[0], [0]], {(0, 1): [(0, 1)]})
+        Instance.build([[0], [0]], {(0, 1): [(0, 1)]})
 
 
 def test_absent_constraint_is_complete():
-    inst = build_instance([[0, 1], [0, 1]])
+    inst = Instance.build([[0, 1], [0, 1]])
     assert inst.e == 0
     assert inst.neighbors(0) == []
     assert not inst.constrains(0, 1)
@@ -56,7 +56,7 @@ def test_neighbors_and_pairs(star):
 
 
 def test_row_masks_follow_deletions():
-    inst = build_instance([[0, 1], [0, 1, 2]],
+    inst = Instance.build([[0, 1], [0, 1, 2]],
                           {(0, 1): [(0, 0), (0, 2), (1, 1)]})
     assert inst.row(0, 1, 0) == 0b101
     inst.delete_value(1, 2)
@@ -69,7 +69,7 @@ def test_row_masks_follow_deletions():
 
 
 def test_compatible_validates_membership():
-    inst = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0)]})
+    inst = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0)]})
     inst.delete_value(0, 1)
     with pytest.raises(ValueError):
         inst.compatible(0, 1, 1, 0)
@@ -88,7 +88,7 @@ def test_remove_variable_drops_adjacency(star):
 
 
 def test_copy_is_independent():
-    inst = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    inst = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
     dup = inst.copy()
     dup.delete_value(0, 0)
     dup.remove_variable(1)
@@ -98,9 +98,9 @@ def test_copy_is_independent():
 
 
 def test_semantic_equality_and_canonical_key():
-    a = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
-    b = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
-    c = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
+    a = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    b = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    c = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
     assert a == b
     assert a.canonical_key() == b.canonical_key()
     assert a != c

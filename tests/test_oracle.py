@@ -2,9 +2,9 @@
 
 import pytest
 
-from cspelim import (GeneratorConfig, NotArcConsistentError,
+from cspelim import (GeneratorConfig, Instance, NotArcConsistentError,
                      SizeGuardExceeded, are_isomorphic, brute_force_solve,
-                     build_instance, count_solutions, enforce_ac, is_solution,
+                     count_solutions, enforce_ac, is_solution,
                      max_eliminations_by_order, naive_fixpoint,
                      random_instance)
 from conftest import (clique_instance, small_random, star_instance)
@@ -42,7 +42,7 @@ def test_solution_validation_rejects_bad_assignments(star):
 
 
 def test_search_space_guard():
-    big = build_instance([[0, 1]] * 30)
+    big = Instance.build([[0, 1]] * 30)
     with pytest.raises(SizeGuardExceeded):
         brute_force_solve(big)
     with pytest.raises(SizeGuardExceeded):
@@ -112,7 +112,7 @@ def test_isomorphism_accepts_relabelings():
                 cons[(a, b)] = pairs
             else:
                 cons[(b, a)] = [(y, x) for x, y in pairs]
-        mirrored = build_instance(doms, cons)
+        mirrored = Instance.build(doms, cons)
         assert are_isomorphic(inst, mirrored), seed
 
 
@@ -120,15 +120,15 @@ def test_isomorphism_rejects_structural_changes():
     a = star_instance(4)
     b = clique_instance(4, 2)
     assert not are_isomorphic(a, b)
-    c = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
-    d = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (0, 1), (1, 1)]})
+    c = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    d = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (0, 1), (1, 1)]})
     assert not are_isomorphic(c, d)
     assert not are_isomorphic(a, c)
 
 
 def test_isomorphism_ignores_value_names():
-    c = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
-    e = build_instance([[3, 8], [1, 2]], {(0, 1): [(3, 2), (8, 1)]})
+    c = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    e = Instance.build([[3, 8], [1, 2]], {(0, 1): [(3, 2), (8, 1)]})
     assert are_isomorphic(c, e)
 
 

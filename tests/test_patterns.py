@@ -5,7 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
-from cspelim import (MIN_LIVE, RULES, bt_degree, build_instance, check_1fbtp,
+from cspelim import (Instance, MIN_LIVE, RULES, bt_degree, check_1fbtp,
                      check_aebtp, check_ae_broken_polyhedron,
                      check_bt_degree_property, check_de_snake,
                      check_exists_snake, check_triangle, checker_accepts,
@@ -131,7 +131,7 @@ def test_degree_counts_distinct_third_variables():
     """The degree counts witnessing variables, not witnessing triangles."""
     # x0's value 0 pairs with two values of x2 both completing a broken
     # triangle through apex 0 of x3; a second witness comes from x1
-    inst = build_instance(
+    inst = Instance.build(
         [[0, 1], [0, 1], [0, 1, 2], [0, 1]],
         {(0, 3): [(0, 0), (1, 0), (1, 1)],
          (1, 3): [(0, 1), (1, 0), (1, 1)],
@@ -163,7 +163,7 @@ def test_tetrahedron_blocks_both(tetra_inst):
 
 
 def test_degree_property_needs_three_variables():
-    inst = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    inst = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
     with pytest.raises(ValueError):
         check_bt_degree_property(inst, 0)
 
@@ -190,14 +190,14 @@ def test_1fbtp(bt_inst, tetra_inst, star, gap_inst):
     assert not check_1fbtp(gap_inst, 2)
     assert not check_1fbtp(star(5), 0)
     # vacuous without broken triangles
-    free = build_instance([[0, 1]] * 3)
+    free = Instance.build([[0, 1]] * 3)
     assert all(check_1fbtp(free, m) for m in free.variables)
 
 
 def test_1fbtp_support_variable():
     # x3 gives the base pair of the only broken triangle no common
     # support, so the property holds on x2
-    inst = build_instance(
+    inst = Instance.build(
         [[0], [0], [0, 1], [0, 1]],
         {(0, 1): [(0, 0)], (0, 2): [(0, 0)], (1, 2): [(0, 1)],
          (0, 3): [(0, 0)], (1, 3): [(0, 1)]})
@@ -232,7 +232,7 @@ def test_gap_values_carry_no_snake(gap_inst):
 def test_snake_occurrence_positive():
     # v0=0 conflicts with x1's 0, is compatible with 1, and swapping
     # 0 -> 1 at x1 loses the support (0, x2=0)
-    inst = build_instance(
+    inst = Instance.build(
         [[0, 1], [0, 1], [0, 1]],
         {(0, 1): [(0, 1), (1, 0), (1, 1)],
          (1, 2): [(0, 0), (0, 1), (1, 1)]})
@@ -262,13 +262,13 @@ def test_star_center_has_no_justifier(star):
 
 
 def test_checker_accepts_guards():
-    lone = build_instance([[0, 1]])
+    lone = Instance.build([[0, 1]])
     assert checker_accepts(lone, "exists-snake", 0) is not None
     assert checker_accepts(lone, "de-snake", 0) is not None
     assert checker_accepts(lone, "triangle", 0) is None
     assert checker_accepts(lone, "aebtp", 0) is None
     assert checker_accepts(lone, "bt-degree", 0) is None
-    pair = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    pair = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
     assert checker_accepts(pair, "bt-degree", 0) is None
     assert checker_accepts(pair, "triangle", 0) is not None
     with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from cspelim import (ReconstructionError, SearchConfig, TimeBudgetExceeded,
-                     brute_force_solve, build_instance, enforce_ac,
+from cspelim import (Instance, ReconstructionError, SearchConfig,
+                     TimeBudgetExceeded, brute_force_solve, enforce_ac,
                      is_solution, mac_solve, naive_fixpoint,
                      reconstruct_solution, solve_with_preprocessing)
 from conftest import (clique_instance, disjoint_union, random_tree_instance,
@@ -44,7 +44,7 @@ def test_mac_solves_chain_longer_than_recursion_limit():
     # one stack frame per assigned variable would overflow at ~1,000
     n = 1200
     neq = [(a, b) for a in range(3) for b in range(3) if a != b]
-    chain = build_instance([[0, 1, 2]] * n,
+    chain = Instance.build([[0, 1, 2]] * n,
                            {(i, i + 1): neq for i in range(n - 1)})
     assert is_solution(chain, mac_solve(chain))
 
@@ -135,7 +135,7 @@ def test_reconstruction_rejects_foreign_values(star):
 
 
 def test_reconstruction_extension_guarantee():
-    eq = build_instance([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
+    eq = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
     reduced, entries = naive_fixpoint(eq, "aebtp")
     assert reduced.n == 1 and entries[0].var == 0
     assert reconstruct_solution(eq, entries, {1: 1}) == {0: 1, 1: 1}
@@ -174,6 +174,6 @@ def test_pipeline_agrees_with_brute_force():
 
 
 def test_pipeline_handles_singleton_only_instances():
-    inst = build_instance([[0], [0, 1]], {(0, 1): [(0, 1)]})
+    inst = Instance.build([[0], [0, 1]], {(0, 1): [(0, 1)]})
     sol = solve_with_preprocessing(inst, rule="triangle")
     assert sol == {0: 0, 1: 1}

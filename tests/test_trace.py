@@ -62,9 +62,9 @@ def test_trace_text_shape(star):
 
 def test_external_names_on_disk():
     # shifted value names must appear verbatim in the file
-    from cspelim import build_instance, make_entry
+    from cspelim import Instance, make_entry
     from cspelim.patterns import SingletonWitness
-    inst = build_instance([[7, 9], [4, 6]], {(0, 1): [(7, 4), (9, 6)]})
+    inst = Instance.build([[7, 9], [4, 6]], {(0, 1): [(7, 4), (9, 6)]})
     entry = make_entry(inst, "singleton", 0, SingletonWitness(1))
     text = format_trace([entry], inst)
     assert "snapvar 0 2 7 9" in text
