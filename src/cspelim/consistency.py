@@ -138,23 +138,18 @@ def _substitutable(inst: Instance, i: int, v: int, v2: int) -> bool:
     return True
 
 
-def ns_fixpoint(inst: Instance, order=None) -> tuple[Instance, list[Deletion]]:
+def ns_fixpoint(inst: Instance) -> tuple[Instance, list[Deletion]]:
     """Delete neighbourhood-substitutable values until none remain.
 
     A value v goes when some live v2 covers all its supports and either
     the containment is strict or v2 < v (ties drop the larger index).
-    ``order`` only changes the scan order; the result is unique up to
-    isomorphism either way.
     """
     cur = inst.copy()
     log: list[Deletion] = []
-    scan = list(order) if order is not None else None
     changed = True
     while changed:
         changed = False
-        for i in (scan if scan is not None else cur.variables):
-            if not cur.is_active(i):
-                continue
+        for i in cur.variables:
             for v in list(cur.dom(i)):
                 for v2 in cur.dom(i):
                     if v2 == v or not _substitutable(cur, i, v, v2):

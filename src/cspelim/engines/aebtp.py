@@ -2,11 +2,12 @@
 
 x_m is eliminable when every assignment (x_j, v_j) elsewhere reaches it
 through some v_m that is apex of no broken triangle containing that
-assignment in its base.  Per (j, v_j, v_m) the tables hold the set of
-variables still witnessing such a triangle; v_m becomes usable when its
-set empties, and x_m fires once every neighbour assignment has a usable
-value.  Assignments at non-neighbours always extend on arc-consistent
-input, so only neighbours are tracked.
+assignment in its base.  Per x_m the tables keep `lbt`, which maps each
+(j, v_j, v_m) to the variables still witnessing such a triangle (v_m
+becomes usable when its set empties and its key goes), and `unsup`, the
+neighbour assignments (j, v_j) with no usable value yet; x_m fires once
+`unsup` is empty.  Assignments at non-neighbours always extend on
+arc-consistent input, so only neighbours are tracked.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ class AEBTPEngine(Engine):
         # rows to and from x_m, each read once
         rm = {(t, v): inst.row(t, m, v) for t in nbrs for v in inst.dom(t)}
         mrow = {u: {t: inst.row(m, t, u) for t in nbrs} for u in inst.dom(m)}
-        lbt: dict = {}        # (j, v_j, v_m) -> conflict witnesses
-        sup: dict = {}        # (j, v_j) -> number of conflict-free v_m
-        bad_count: dict = {}  # j -> its values with none (absent if 0)
+        lbt: dict = {}     # (j, v_j, v_m) -> conflict witnesses
+        unsup: set = set()  # (j, v_j) with no conflict-free v_m
         for j in nbrs:
-            bc = 0
             for v_j in inst.dom(j):
                 r_jm = rm[(j, v_j)]
                 # per i2: values compatible with v_j whose own row to m
@@ -49,28 +48,25 @@ class AEBTPEngine(Engine):
                             mask |= 1 << v2
                     if mask:
                         w[i2] = mask
-                cnt = 0
+                free = False
                 for v_m in iter_bits(r_jm):
                     row_m = mrow[v_m]
                     s = {i2 for i2, mask in w.items() if mask & ~row_m[i2]}
                     if s:
                         lbt[(j, v_j, v_m)] = s
                     else:
-                        cnt += 1
-                sup[(j, v_j)] = cnt
-                if cnt == 0:
-                    bc += 1
-            if bc:
-                bad_count[j] = bc
-        self.st[m] = {"lbt": lbt, "sup": sup, "bad_count": bad_count}
-        if not bad_count:
+                        free = True
+                if not free:
+                    unsup.add((j, v_j))
+        self.st[m] = (lbt, unsup)
+        if not unsup:
             self.push(m, "init")
 
     def propagate(self, var: int, neighbors: list) -> None:
         self.st.pop(var, None)
         for m in neighbors:
-            st = self.st[m]
-            lbt, sup, bad_count = st["lbt"], st["sup"], st["bad_count"]
+            lbt, unsup = self.st[m]
+            had_unsup = bool(unsup)
             dead = []
             freed = []
             for key, s in lbt.items():
@@ -86,17 +82,8 @@ class AEBTPEngine(Engine):
                 if self.audit is not None:
                     self.audit.branch_fires[("support-found", (m,) + key)] += 1
                 del lbt[key]
-                j, v_j, _ = key
-                c = sup[(j, v_j)] + 1
-                sup[(j, v_j)] = c
-                if c == 1:
-                    bc = bad_count[j] - 1
-                    if bc:
-                        bad_count[j] = bc
-                    else:
-                        del bad_count[j]
-                        if not bad_count:
-                            self.push(m, "prop")
+                unsup.discard(key[:2])
             # assignments at the eliminated variable no longer need a value
-            if bad_count.pop(var, None) is not None and not bad_count:
+            unsup.difference_update((var, v) for v in self.inst.dom(var))
+            if had_unsup and not unsup:
                 self.push(m, "prop")

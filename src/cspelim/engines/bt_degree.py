@@ -3,11 +3,14 @@
 x_m is eliminable when every consistent base pair at its neighbours
 reaches it through a value whose triangle degree vanishes on one side,
 or failing that is 3-safe (every broken triangle on the base has a
-degree-one apex side).  Base pairs with neither property sit in a "bad"
-set per m; they leave it as eliminations lower degrees, and x_m fires
-once its set empties.  Bases with a non-neighbour variable hold
-automatically on arc-consistent input, so the tables only ever track
-neighbour pairs.
+degree-one apex side).  Per x_m the tables keep `btv`, the variables
+completing a broken triangle for each (i, v_i, apex u); two masks over
+D(x_m) per (i, v_i), `many` (apexes of degree above one) and `zero`
+(apexes of degree zero); and `bad`, the base pairs with neither
+property.  When an elimination lowers a degree, the masks change and
+the bad pairs through (i, v_i) are tested again; x_m fires once `bad`
+is empty.  Bases with a non-neighbour variable hold automatically on
+arc-consistent input, so the tables only ever track neighbour pairs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,19 @@ from ..model import iter_bits
 from .base import Engine
 
 
-def _canon(a: int, v_a: int, b: int, v_b: int) -> tuple:
-    return (a, v_a, b, v_b) if a < b else (b, v_b, a, v_a)
+def _fails(st: dict, i: int, v_i: int, j: int, v_j: int) -> bool:
+    """Does the base pair (i, v_i, j, v_j) have neither a degree-free
+    extension nor a 3-safe one?  With r the rows to x_m and c their
+    common apexes: no u in c has degree zero on either side, and either
+    c is empty or each side has an apex escaping the other whose degree
+    on the other's side is above one."""
+    rm, many, zero = st["rm"], st["many"], st["zero"]
+    r_i, r_j = rm[(i, v_i)], rm[(j, v_j)]
+    c = r_i & r_j
+    if c & (zero[(i, v_i)] | zero[(j, v_j)]):
+        return False
+    return not c or bool(r_i & ~r_j & many[(j, v_j)]
+                         and r_j & ~r_i & many[(i, v_i)])
 
 
 class BTDegreeEngine(Engine):
@@ -39,8 +53,12 @@ class BTDegreeEngine(Engine):
         mrow = {u: {t: inst.row(m, t, u) for t in nbrs} for u in inst.dom(m)}
 
         # btv[(i, v_i, u)]: neighbours j completing a broken triangle on
-        # x_m with (x_i, v_i) in the base and u as one apex
+        # x_m with (x_i, v_i) in the base and u as one apex; many/zero:
+        # per (i, v_i), the apexes u where that set has more than one
+        # member / none
         btv: dict = {}
+        many: dict = {}
+        zero: dict = {}
         for i in nbrs:
             for v_i in inst.dom(i):
                 r_i = rm[(i, v_i)]
@@ -58,6 +76,7 @@ class BTDegreeEngine(Engine):
                         if r_i & ~r_jv:
                             d_mask |= 1 << v
                     esc.append((j, e_mask, d_mask))
+                mn = zr = 0
                 for u in inst.dom(m):
                     row_m = mrow[u]
                     if (r_i >> u) & 1:
@@ -65,56 +84,26 @@ class BTDegreeEngine(Engine):
                     else:
                         s = {j for j, _, d in esc if d & row_m[j]}
                     btv[(i, v_i, u)] = s
+                    if len(s) > 1:
+                        mn |= 1 << u
+                    elif not s:
+                        zr |= 1 << u
+                many[(i, v_i)] = mn
+                zero[(i, v_i)] = zr
 
-        # degree-derived masks over u, then pair counts
-        deg_many: dict = {}
-        deg_zero: dict = {}
-        for i in nbrs:
-            for v_i in inst.dom(i):
-                many = zero = 0
-                for u in inst.dom(m):
-                    n = len(btv[(i, v_i, u)])
-                    if n > 1:
-                        many |= 1 << u
-                    elif n == 0:
-                        zero |= 1 << u
-                deg_many[(i, v_i)] = many
-                deg_zero[(i, v_i)] = zero
-
-        # mpm[(a, v_a, b, v_b)]: apexes compatible with v_a, incompatible
-        # with v_b, of degree above one on v_b's side
-        mpm: dict = {}
-        for a in nbrs:
-            for b in nbrs:
-                if b == a:
-                    continue
-                for v_a in inst.dom(a):
-                    r_a = rm[(a, v_a)]
-                    for v_b in inst.dom(b):
-                        mpm[(a, v_a, b, v_b)] = (
-                            r_a & ~rm[(b, v_b)] & deg_many[(b, v_b)]
-                        ).bit_count()
-
+        st = {"rm": rm, "btv": btv, "many": many, "zero": zero}
         bad: set = set()
         for i, j in combinations(nbrs, 2):
             for v_i in inst.dom(i):
-                r_i = rm[(i, v_i)]
-                z_i = deg_zero[(i, v_i)]
                 for v_j in iter_bits(inst.row(i, j, v_i)):
-                    common = r_i & rm[(j, v_j)]
-                    if common & (z_i | deg_zero[(j, v_j)]):
-                        continue
-                    if common and (mpm[(i, v_i, j, v_j)] == 0
-                                   or mpm[(j, v_j, i, v_i)] == 0):
-                        continue
-                    bad.add((i, v_i, j, v_j))
-
-        self.st[m] = {"rm": rm, "btv": btv, "mpm": mpm, "bad": bad}
+                    if _fails(st, i, v_i, j, v_j):
+                        bad.add((i, v_i, j, v_j))
+        st["bad"] = bad
+        self.st[m] = st
         if not bad:
             self.push(m, "init")
 
     def propagate(self, var: int, neighbors: list) -> None:
-        inst = self.inst
         self.st.pop(var, None)
         for m in neighbors:
             st = self.st[m]
@@ -132,55 +121,30 @@ class BTDegreeEngine(Engine):
                 if var not in s:
                     continue
                 s.discard(var)
+                i, v_i, u = key
                 if len(s) == 1:
                     if self.audit is not None:
                         self.audit.branch_fires[("deg-one", (m,) + key)] += 1
-                    self._degree_now_one(m, st, *key)
+                    st["many"][(i, v_i)] &= ~(1 << u)
+                    self._retest(m, st, i, v_i)
                 elif not s:
                     if self.audit is not None:
                         self.audit.branch_fires[("deg-zero", (m,) + key)] += 1
-                    self._degree_now_zero(m, st, *key)
+                    st["zero"][(i, v_i)] |= 1 << u
+                    self._retest(m, st, i, v_i)
             for key in dead:
                 del btv[key]
 
             if had_bad and not bad:
                 self.push(m, "prop")
 
-    def _degree_now_one(self, m, st, i, v_i, u):
-        """deg(i, v_i, u) dropped to one: u stops blocking 3-safety of
-        bases pairing (i, v_i) against values compatible with u."""
-        inst = self.inst
-        rm, mpm, bad = st["rm"], st["mpm"], st["bad"]
-        r_i = rm[(i, v_i)]
-        for a in inst.neighbors(m):
-            if a == i or a in self.eliminated:
-                continue
-            for v_a in inst.dom(a):
-                if not ((rm[(a, v_a)] >> u) & 1) or ((r_i >> u) & 1):
-                    continue
-                key = (a, v_a, i, v_i)
-                mpm[key] -= 1
-                if mpm[key] == 0:
-                    t = _canon(a, v_a, i, v_i)
-                    if t in bad and rm[(a, v_a)] & r_i:
-                        bad.discard(t)
-                        if not bad:
-                            self.push(m, "prop")
-
-    def _degree_now_zero(self, m, st, i, v_i, u):
-        """deg(i, v_i, u) vanished: u is now a degree-free extension for
-        every base with (i, v_i) that reaches it."""
-        inst = self.inst
-        rm, bad = st["rm"], st["bad"]
-        if not ((rm[(i, v_i)] >> u) & 1):
-            return
-        for j in inst.neighbors(m):
+    def _retest(self, m: int, st: dict, i: int, v_i: int) -> None:
+        """Drop the bad pairs through (i, v_i) that now hold."""
+        bad = st["bad"]
+        for j in self.inst.neighbors(m):
             if j == i or j in self.eliminated:
                 continue
-            for v_j in iter_bits(inst.row(i, j, v_i)):
-                if (rm[(j, v_j)] >> u) & 1:
-                    t = _canon(i, v_i, j, v_j)
-                    if t in bad:
-                        bad.discard(t)
-                        if not bad:
-                            self.push(m, "prop")
+            for v_j in iter_bits(self.inst.row(i, j, v_i)):
+                t = (i, v_i, j, v_j) if i < j else (j, v_j, i, v_i)
+                if t in bad and not _fails(st, *t):
+                    bad.discard(t)

@@ -1,10 +1,12 @@
 """Incremental engine for the triangle (domination) rule.
 
 x_j justifies eliminating x_i when every v_j has a compatible v_i whose
-supports cover v_j's at every other neighbour of x_i.  Per value pair
-the tables count the neighbours still breaking the covering; a row
-(j, v_j, i) becomes "supported" when some v_i reaches count zero, and
-x_j justifies x_i once all its rows are supported.  Unlike the other
+supports cover v_j's at every other neighbour of x_i.  The tables keep
+`badcnt`, which maps each row (j, v_j, i) no v_i covers yet to the
+per-v_i number of neighbours still breaking the covering, `count`, the
+number of such rows per (j, i), and `zero_just`, the live justifiers
+of each x_i.  A row's key goes when some v_i reaches count zero, and
+x_j justifies x_i once none of its rows is left.  Unlike the other
 rules this one is not hereditary — justifiers can themselves be
 eliminated — so queued candidates are revalidated before use.
 """
@@ -21,12 +23,11 @@ class TriangleEngine(Engine):
     def initialise(self) -> None:
         inst = self.inst
         live = inst.variables
-        # (j, v_j, i) -> True once some compatible v_i covers v_j;
-        # unsupported rows instead carry, per candidate v_i, the number
-        # of neighbours k of x_i where covering fails
-        self.supported: dict = {}
+        # rows (j, v_j, i) that no compatible v_i covers yet -> per
+        # candidate v_i, the number of neighbours k of x_i where covering
+        # fails
         self.badcnt: dict = {}
-        # (j, i) -> number of unsupported rows; i -> live justifiers
+        # (j, i) -> number of rows in badcnt; i -> live justifiers
         self.count: dict = {}
         self.zero_just: dict = {}
 
@@ -49,7 +50,6 @@ class TriangleEngine(Engine):
                 for v_j in inst.dom(j):
                     rows_j = rowd[(j, v_j)]
                     cnts = [0] * ilen
-                    sup = False
                     for v_i in iter_bits(inst.row(j, i, v_j)):
                         bad = 0
                         for k, lo in lose[(i, v_i)]:
@@ -59,11 +59,9 @@ class TriangleEngine(Engine):
                             if r is None or r & lo:
                                 bad += 1
                         if bad == 0:
-                            sup = True
                             break
                         cnts[v_i] = bad
-                    self.supported[(j, v_j, i)] = sup
-                    if not sup:
+                    else:
                         c += 1
                         self.badcnt[(j, v_j, i)] = cnts
                 self.count[(j, i)] = c
@@ -95,10 +93,10 @@ class TriangleEngine(Engine):
                     continue
                 for v_j in inst.dom(j):
                     key = (j, v_j, i)
-                    if self.supported[key]:
+                    cnts = self.badcnt.get(key)
+                    if cnts is None:
                         continue
                     row_jv = inst.row(j, var, v_j)
-                    cnts = self.badcnt[key]
                     for v_i in iter_bits(inst.row(j, i, v_j)):
                         if row_jv & lose[v_i]:
                             cnts[v_i] -= 1
@@ -106,7 +104,6 @@ class TriangleEngine(Engine):
                                 if self.audit is not None:
                                     self.audit.branch_fires[
                                         ("row-supported", key)] += 1
-                                self.supported[key] = True
                                 del self.badcnt[key]
                                 c = self.count[(j, i)] - 1
                                 self.count[(j, i)] = c

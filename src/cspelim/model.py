@@ -160,9 +160,6 @@ class Instance:
         """Live variables with an explicit constraint to x_i, ascending."""
         return sorted(self._adj[i])
 
-    def constrains(self, i: int, j: int) -> bool:
-        return (i, j) in self._rows
-
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(key for key in self._rows if key[0] < key[1])
 
@@ -373,7 +370,7 @@ def load_instance(source: Source) -> Instance:
         return parse_instance(fh.read())
 
 
-def format_instance(inst: Instance, comment: str | None = None) -> str:
+def format_instance(inst: Instance) -> str:
     """Serialize an instance; renumbers variables to 0..n-1 if needed.
 
     When renumbering happens a '# source-vars:' comment records the
@@ -382,9 +379,6 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
     live = list(inst.variables)
     renum = {old: new for new, old in enumerate(live)}
     out = io.StringIO()
-    if comment:
-        for line in comment.splitlines():
-            out.write("# %s\n" % line)
     if live != list(range(len(live))):
         out.write("# source-vars: %s\n" % " ".join(str(v) for v in live))
     out.write("BCSP 1\n")
@@ -402,8 +396,8 @@ def format_instance(inst: Instance, comment: str | None = None) -> str:
     return out.getvalue()
 
 
-def save_instance(inst: Instance, target: Source, comment: str | None = None) -> None:
+def save_instance(inst: Instance, target: Source) -> None:
     """Write an instance to a path or an open text stream."""
-    text = format_instance(inst, comment)
+    text = format_instance(inst)
     with open_text(target, "w") as fh:
         fh.write(text)

@@ -120,6 +120,22 @@ def test_engines_match_reference_on_denser_instances():
             eng_inst, eng_entries = run_engine(ac, rule)
             assert eng_inst == ref_inst, ("sparse", seed, rule)
             assert eng_entries == ref_entries, ("sparse", seed, rule)
+    # d = 9, near the benchmark's d = 10: every table-update branch of
+    # the three value-pair engines has to fire
+    audit = EngineAudit()
+    for seed, n in enumerate((14, 16, 18, 20)):
+        ac, _, ok = enforce_ac(
+            random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
+        assert ok, seed
+        ac, _ = eliminate_singletons(ac)
+        for rule in ("triangle", "aebtp", "bt-degree"):
+            ref_inst, ref_entries = naive_fixpoint(ac, rule)
+            eng_inst, eng_entries = run_engine(ac, rule, audit)
+            assert eng_inst == ref_inst, ("d=9", seed, rule)
+            assert eng_entries == ref_entries, ("d=9", seed, rule)
+    fired = {label for label, _ in audit.branch_fires}
+    assert {"row-supported", "support-found", "deg-one",
+            "deg-zero"} <= fired
 
 
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])

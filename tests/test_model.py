@@ -41,7 +41,6 @@ def test_absent_constraint_is_complete():
     inst = Instance.build([[0, 1], [0, 1]])
     assert inst.e == 0
     assert inst.neighbors(0) == []
-    assert not inst.constrains(0, 1)
     assert inst.compatible(0, 0, 1, 1)
     assert inst.row(0, 1, 0) == inst.dom_mask(1)
 
