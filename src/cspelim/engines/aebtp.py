@@ -12,8 +12,11 @@ arc-consistent input, so only neighbours are tracked.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import and_
+
 from ..model import iter_bits
-from .base import Engine
+from .base import Engine, escape_masks
 
 
 class AEBTPEngine(Engine):
@@ -30,28 +33,20 @@ class AEBTPEngine(Engine):
         nbrs = inst.neighbors(m)
         # rows to and from x_m, each read once
         rm = {(t, v): inst.row(t, m, v) for t in nbrs for v in inst.dom(t)}
-        mrow = {u: {t: inst.row(m, t, u) for t in nbrs} for u in inst.dom(m)}
+        mcols = {u: [inst.row(m, t, u) for t in nbrs] for u in inst.dom(m)}
+        ncols = {u: [~r for r in col] for u, col in mcols.items()}
         lbt: dict = {}     # (j, v_j, v_m) -> conflict witnesses
         unsup: set = set()  # (j, v_j) with no conflict-free v_m
         for j in nbrs:
             for v_j in inst.dom(j):
                 r_jm = rm[(j, v_j)]
                 # per i2: values compatible with v_j whose own row to m
-                # escapes v_j's row
-                w = {}
-                for i2 in nbrs:
-                    if i2 == j:
-                        continue
-                    mask = 0
-                    for v2 in iter_bits(inst.row(j, i2, v_j)):
-                        if rm[(i2, v2)] & ~r_jm:
-                            mask |= 1 << v2
-                    if mask:
-                        w[i2] = mask
+                # escapes v_j's row; v_m conflicts through those it
+                # forbids
+                w = escape_masks(inst, nbrs, mcols, j, v_j, r_jm)[0]
                 free = False
                 for v_m in iter_bits(r_jm):
-                    row_m = mrow[v_m]
-                    s = {i2 for i2, mask in w.items() if mask & ~row_m[i2]}
+                    s = set(compress(nbrs, map(and_, w, ncols[v_m])))
                     if s:
                         lbt[(j, v_j, v_m)] = s
                     else:

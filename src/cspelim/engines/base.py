@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import repeat
+from operator import and_, invert, or_
 
 from ..consistency import (NotArcConsistentError, eliminate_variable,
                            is_arc_consistent)
@@ -116,6 +118,35 @@ class Engine:
         `var` is still present in the instance (its rows are readable);
         implementations must treat it as gone."""
         raise NotImplementedError
+
+
+def escape_masks(inst: Instance, nbrs: list, mcols: dict, i: int,
+                 v_i: int, r_i: int) -> tuple[list, list]:
+    """Escape masks of (x_i, v_i) towards x_m, one per neighbour of x_m,
+    read off x_m's reverse rows (Lecoutre & Vion, CPL 2008).
+
+    `nbrs` lists the neighbours of x_m, x_i among them; `mcols` maps
+    each value u of x_m to [row(m, t, u) for t in nbrs]; r_i is
+    row(i, m, v_i).  The two lists, aligned with `nbrs` and 0 at x_i,
+    hold per x_j the values compatible with v_i whose row to x_m has a
+    value outside r_i (`e`), and those whose row misses a value of r_i
+    (`d`):
+
+        e = row(i, j, v_i) & OR(row(m, j, u) for u in D(m) & ~r_i)
+        d = row(i, j, v_i) & ~AND(row(m, j, u) for u in r_i)
+    """
+    # the folds stay lazy: each neighbour's column is combined once, when
+    # the lists below are built
+    outside = repeat(0)
+    inside = repeat(-1)
+    for u, col in mcols.items():
+        if (r_i >> u) & 1:
+            inside = map(and_, inside, col)
+        else:
+            outside = map(or_, outside, col)
+    rows = [inst.row(i, j, v_i) if j != i else 0 for j in nbrs]
+    return (list(map(and_, rows, outside)),
+            list(map(and_, rows, map(invert, inside))))
 
 
 def check_engine_precondition(inst: Instance) -> None:

@@ -3,8 +3,11 @@ and the work-bound bookkeeping."""
 
 import pytest
 
+import cspelim.engines.base as engine_base
+import cspelim.engines.bt_degree as bt_degree_engine
 from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
-                     NotArcConsistentError, RULES, check_engine_precondition,
+                     NotArcConsistentError, RULES, check_aebtp,
+                     check_bt_degree_property, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
                      random_instance, run_engine)
 from cspelim.engines import EngineAudit
@@ -136,6 +139,85 @@ def test_engines_match_reference_on_denser_instances():
     fired = {label for label, _ in audit.branch_fires}
     assert {"row-supported", "support-found", "deg-one",
             "deg-zero"} <= fired
+
+
+# per extension rule: whether x_m's tables certify it, and the checker
+CERTIFIED = {
+    "bt-degree": (lambda st: st["watch"] is None, check_bt_degree_property),
+    "aebtp": (lambda st: not st[1], check_aebtp),
+}
+
+
+@pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
+def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
+    """For every live x_m, not only the smallest one the queue consults,
+    the tables certify x_m exactly when the rule's checker accepts it:
+    after initialisation and after each elimination, as the instance
+    stands once the variable is gone."""
+    certified, check = CERTIFIED[rule]
+    engines = []
+    compared = [0]
+
+    def compare():
+        engine = engines[-1]
+        if engine.inst.n < MIN_LIVE[rule]:
+            return
+        for m in engine.inst.variables:
+            assert certified(engine.st[m]) == bool(check(engine.inst, m)), m
+            compared[0] += 1
+
+    cls = ENGINES[rule]
+    initialise = cls.initialise
+    eliminate = engine_base.eliminate_variable
+
+    def initialise_then_compare(self):
+        initialise(self)
+        engines.append(self)
+        compare()
+
+    def eliminate_then_compare(inst, i):
+        result = eliminate(inst, i)
+        compare()
+        return result
+
+    monkeypatch.setattr(cls, "initialise", initialise_then_compare)
+    monkeypatch.setattr(engine_base, "eliminate_variable",
+                        eliminate_then_compare)
+    cases = []
+    for seed, n in enumerate((14, 16, 18, 20)):
+        ac, _, ok = enforce_ac(
+            random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
+        assert ok, seed
+        cases.append(ac)
+    cases += [ac_instance(seed, n=7, d=4, p1=0.7, p2=0.3)
+              for seed in range(20)]
+    runs = 0
+    for k, ac in enumerate(cases):
+        if ac is None:
+            continue
+        if k % 2:
+            ac, _ = eliminate_singletons(ac)
+        run_engine(ac, rule)
+        runs += 1
+    assert runs >= 15 and compared[0] > 500, (runs, compared[0])
+
+
+def test_bt_degree_scan_stops_at_the_first_failing_pair(monkeypatch):
+    """One failing base pair per variable keeps it off the queue, so the
+    bad-pair predicate is not evaluated on every consistent pair."""
+    calls = [0]
+    fails = bt_degree_engine._fails
+
+    def counted(*args):
+        calls[0] += 1
+        return fails(*args)
+
+    monkeypatch.setattr(bt_degree_engine, "_fails", counted)
+    ac, _, ok = enforce_ac(
+        random_instance(GeneratorConfig(40, 10, 0.25, 0.35, 7)))
+    assert ok
+    run_engine(ac, "bt-degree")
+    assert calls[0] <= 4 * ac.n, calls[0]
 
 
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
