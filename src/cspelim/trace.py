@@ -119,11 +119,16 @@ def write_trace(entries, inst: Instance, target, pre_deletions=()) -> None:
 # parsing
 
 
+# tokens per line, for the kinds whose lines have a fixed length
+_ARITY = {"elim": 3, "umap": 4, "vmap": 3, "snaprel": 3, "del": 4}
+
+
 def parse_trace(source, inst: Instance):
     """Parse a trace file against the instance it was produced from.
 
     Returns (entries, pre_deletions): deletions logged before the first
     elimination come back separately, later ones attach to their entry.
+    Raises ValueError on a malformed trace.
     """
     if isinstance(source, str) and "\n" in source:
         text = source
@@ -136,13 +141,25 @@ def parse_trace(source, inst: Instance):
         raise ValueError("missing TRACE 1 header")
     pos = 1
 
-    internal = inst.internal_value
+    def internal(i, name):
+        try:
+            return inst.internal_value(i, name)
+        except KeyError:
+            raise ValueError("trace names value %d of variable %d, which "
+                             "the instance lacks" % (name, i)) from None
+
+    def deletion(tok):
+        var = int(tok[1])
+        return Deletion(var, internal(var, int(tok[2])), tok[3])
 
     entries: list[TraceEntry] = []
     pre_deletions: list[Deletion] = []
 
     def flush(current):
         if current is not None:
+            if current[2] is None or current[3] is None:
+                raise ValueError("elim of %d lacks its witness or snapvar "
+                                 "line" % current[1])
             entries.append(TraceEntry(*current[:5], tuple(current[5])))
 
     current = None  # [rule, var, witness, dom, rels, deletions]
@@ -153,58 +170,67 @@ def parse_trace(source, inst: Instance):
             flush(current)
             return entries, pre_deletions
         kind = tok[0]
+        if len(tok) != _ARITY.get(kind, len(tok)):
+            raise ValueError("wrong token count in trace line %r"
+                             % " ".join(tok))
         if kind == "elim":
             flush(current)
             rule, var = tok[1], int(tok[2])
             if rule not in TRACE_RULES:
                 raise ValueError("unknown rule %r in trace" % rule)
-            current = [rule, var, None, (), {}, []]
+            current = [rule, var, None, None, {}, []]
         elif current is None:
             if kind != "del":
                 raise ValueError("unexpected %r before first elim" % kind)
-            pre_deletions.append(Deletion(int(tok[1]),
-                                          internal(int(tok[1]), int(tok[2])),
-                                          tok[3]))
+            pre_deletions.append(deletion(tok))
         elif kind == "witness":
-            var = current[1]
-            if tok[1:] == ["extension"]:
+            rule, var, arg = current[0], current[1], tok[1:]
+            if rule in ("bt-degree", "aebtp") and arg == ["extension"]:
                 current[2] = ExtensionWitness()
-            elif tok[1] == "just":
-                current[2] = TriangleWitness(int(tok[2]), {})
-            elif current[0] == "singleton":
-                current[2] = SingletonWitness(internal(var, int(tok[1])))
-            elif current[0] == "exists-snake":
-                current[2] = SnakeWitness(internal(var, int(tok[1])))
+            elif rule == "triangle" and len(arg) == 2 and arg[0] == "just":
+                current[2] = TriangleWitness(int(arg[1]), {})
+            elif rule == "singleton" and len(arg) == 1:
+                current[2] = SingletonWitness(internal(var, int(arg[0])))
+            elif rule == "exists-snake" and len(arg) == 1:
+                current[2] = SnakeWitness(internal(var, int(arg[0])))
+            elif rule == "de-snake" and len(arg) == 1:
+                current[2] = DeSnakeWitness(internal(var, int(arg[0])), {})
             else:
-                current[2] = DeSnakeWitness(internal(var, int(tok[1])), {})
+                raise ValueError("bad %s witness %r" % (rule, " ".join(arg)))
         elif kind == "umap":
+            if not isinstance(current[2], DeSnakeWitness):
+                raise ValueError("umap line outside a de-snake witness")
             j = int(tok[1])
             current[2].u_map[(j, internal(j, int(tok[2])))] = internal(j, int(tok[3]))
         elif kind == "vmap":
             w = current[2]
+            if not isinstance(w, TriangleWitness):
+                raise ValueError("vmap line outside a triangle witness")
             w.v_map[internal(w.justifier, int(tok[1]))] = internal(current[1], int(tok[2]))
         elif kind == "snapvar":
-            var, k = int(tok[1]), int(tok[2])
+            if len(tok) < 3 or int(tok[2]) != len(tok) - 3:
+                raise ValueError("snapvar length mismatch")
+            var = int(tok[1])
             if var != current[1]:
                 raise ValueError("snapvar for %d inside elim of %d" % (var, current[1]))
-            vals = tuple(internal(var, int(t)) for t in tok[3:])
-            if len(vals) != k:
-                raise ValueError("snapvar length mismatch")
-            current[3] = vals
+            current[3] = tuple(internal(var, int(t)) for t in tok[3:])
         elif kind == "snaprel":
             j, t = int(tok[1]), int(tok[2])
-            rows = {v: 0 for v in current[3]}
-            for _ in range(t):
-                ptok = lines[pos].split()
-                pos += 1
+            if not 0 <= t <= len(lines) - pos:
+                raise ValueError("snaprel count %d out of range" % t)
+            rows = dict.fromkeys(current[3] or (), 0)
+            for ptok in map(str.split, lines[pos:pos + t]):
+                if len(ptok) != 2:
+                    raise ValueError("bad snaprel pair %r" % " ".join(ptok))
                 a = internal(current[1], int(ptok[0]))
                 b = internal(j, int(ptok[1]))
+                if a not in rows:
+                    raise ValueError("snaprel value %d outside snapvar" % a)
                 rows[a] |= 1 << b
+            pos += t
             current[4][j] = rows
         elif kind == "del":
-            current[5].append(Deletion(int(tok[1]),
-                                       internal(int(tok[1]), int(tok[2])),
-                                       tok[3]))
+            current[5].append(deletion(tok))
         else:
             raise ValueError("unexpected trace line %r" % " ".join(tok))
     raise ValueError("trace missing final 'end'")

@@ -3,6 +3,7 @@ and the work-bound bookkeeping."""
 
 import pytest
 
+import cspelim.engines.aebtp as aebtp_engine
 import cspelim.engines.base as engine_base
 import cspelim.engines.bt_degree as bt_degree_engine
 from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
@@ -124,28 +125,26 @@ def test_engines_match_reference_on_denser_instances():
             assert eng_inst == ref_inst, ("sparse", seed, rule)
             assert eng_entries == ref_entries, ("sparse", seed, rule)
     # d = 9, near the benchmark's d = 10: every table-update branch of
-    # the three value-pair engines has to fire
-    audit = EngineAudit()
+    # the three value-pair engines has to fire, in each rule's own run
+    branches = {"triangle": {"row-supported"}, "aebtp": {"deg-zero"},
+                "bt-degree": {"deg-one", "deg-zero"}}
+    audits = {rule: EngineAudit() for rule in branches}
     for seed, n in enumerate((14, 16, 18, 20)):
         ac, _, ok = enforce_ac(
             random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
         assert ok, seed
         ac, _ = eliminate_singletons(ac)
-        for rule in ("triangle", "aebtp", "bt-degree"):
+        for rule, audit in audits.items():
             ref_inst, ref_entries = naive_fixpoint(ac, rule)
             eng_inst, eng_entries = run_engine(ac, rule, audit)
             assert eng_inst == ref_inst, ("d=9", seed, rule)
             assert eng_entries == ref_entries, ("d=9", seed, rule)
-    fired = {label for label, _ in audit.branch_fires}
-    assert {"row-supported", "support-found", "deg-one",
-            "deg-zero"} <= fired
+    for rule, audit in audits.items():
+        fired = {label for label, _ in audit.branch_fires}
+        assert branches[rule] <= fired, rule
 
 
-# per extension rule: whether x_m's tables certify it, and the checker
-CERTIFIED = {
-    "bt-degree": (lambda st: st["watch"] is None, check_bt_degree_property),
-    "aebtp": (lambda st: not st[1], check_aebtp),
-}
+CHECKERS = {"bt-degree": check_bt_degree_property, "aebtp": check_aebtp}
 
 
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
@@ -154,7 +153,7 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     the tables certify x_m exactly when the rule's checker accepts it:
     after initialisation and after each elimination, as the instance
     stands once the variable is gone."""
-    certified, check = CERTIFIED[rule]
+    check = CHECKERS[rule]
     engines = []
     compared = [0]
 
@@ -163,7 +162,8 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
         if engine.inst.n < MIN_LIVE[rule]:
             return
         for m in engine.inst.variables:
-            assert certified(engine.st[m]) == bool(check(engine.inst, m)), m
+            certified = engine.st[m]["watch"] is None
+            assert certified == bool(check(engine.inst, m)), m
             compared[0] += 1
 
     cls = ENGINES[rule]
@@ -202,21 +202,29 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     assert runs >= 15 and compared[0] > 500, (runs, compared[0])
 
 
-def test_bt_degree_scan_stops_at_the_first_failing_pair(monkeypatch):
-    """One failing base pair per variable keeps it off the queue, so the
-    bad-pair predicate is not evaluated on every consistent pair."""
+# per extension rule: the module and name of its failing-item predicate
+PREDICATES = {"bt-degree": (bt_degree_engine, "_fails"),
+              "aebtp": (aebtp_engine, "_unsupported")}
+
+
+@pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
+def test_bt_degree_scan_stops_at_the_first_failing_pair(monkeypatch, rule):
+    """One failing item per variable (a base pair for bt-degree, a
+    neighbour assignment for aebtp) keeps it off the queue, so the
+    failing-item predicate is not evaluated on every item."""
+    module, predicate = PREDICATES[rule]
     calls = [0]
-    fails = bt_degree_engine._fails
+    fails = getattr(module, predicate)
 
     def counted(*args):
         calls[0] += 1
         return fails(*args)
 
-    monkeypatch.setattr(bt_degree_engine, "_fails", counted)
+    monkeypatch.setattr(module, predicate, counted)
     ac, _, ok = enforce_ac(
         random_instance(GeneratorConfig(40, 10, 0.25, 0.35, 7)))
     assert ok
-    run_engine(ac, "bt-degree")
+    run_engine(ac, rule)
     assert calls[0] <= 4 * ac.n, calls[0]
 
 

@@ -1,6 +1,7 @@
 """Trace serialization round-trips and format errors."""
 
 import io
+import random
 
 import pytest
 
@@ -95,3 +96,52 @@ def test_parse_rejects_bad_traces(star):
         parse_trace(good.replace("TRACE 1", "TRACE 2"), inst)
     with pytest.raises(ValueError):
         parse_trace(good.replace("elim de-snake", "elim wat"), inst)
+    bad = [
+        "TRACE 1\nelim\nend\n",
+        "TRACE 1\ndel 0\nend\n",
+        "TRACE 1\nelim de-snake 0\numap 1 0 1\nend\n",
+        "TRACE 1\nelim exists-snake 0\nwitness 5\nend\n",
+        # a snaprel pair whose value of x_0 is missing from snapvar
+        good.replace("snapvar 0 2 0 1", "snapvar 0 1 0"),
+        "TRACE 1\nelim aebtp 0\nend\n",
+        "TRACE 1\nelim triangle 0\nwitness extension\nend\n",
+    ]
+    for text in bad:
+        with pytest.raises(ValueError):
+            parse_trace(text, inst)
+    # seeded line mutations of valid traces either parse or raise
+    # ValueError, never another exception
+    goods = []
+    for rule, ns in (("de-snake", False), ("triangle", True),
+                     ("exists-snake", False), ("aebtp", False)):
+        for seed in range(6):
+            run = traced_run(seed, rule, ns)
+            if run is not None:
+                inst, log, entries = run
+                goods.append((inst, format_trace(entries, inst, log)))
+    tokens = ["0", "1", "2", "-1", "99", "x", "end", "just", "extension",
+              "witness", "snaprel", "umap", "vmap", "del", "elim"]
+    rng = random.Random(0)
+    rejected = 0
+    for _ in range(3000):
+        inst, text = rng.choice(goods)
+        lines = text.splitlines()
+        k = rng.randrange(len(lines))
+        tok = lines[k].split()
+        op = rng.randrange(5)
+        if op == 0:
+            del lines[k]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines)), lines[k])
+        elif op == 2:
+            lines[k] = " ".join(tok[:-1])
+        elif op == 3:
+            lines[k] = " ".join(tok + [rng.choice(tokens)])
+        else:
+            tok[rng.randrange(len(tok))] = rng.choice(tokens)
+            lines[k] = " ".join(tok)
+        try:
+            parse_trace("\n".join(lines) + "\n", inst)
+        except ValueError:
+            rejected += 1
+    assert rejected > 1000, rejected
