@@ -5,9 +5,9 @@ Both rules read one table per x_m.  For each neighbour assignment
 completing a broken triangle on x_m with (x_i, v_i) in the base and u
 as one apex (the triangle degree of u on that side); per (i, v_i) two
 masks over D(x_m) keep the apexes where that set has more than one
-member (`many`) and none (`zero`); a set that empties is dropped, as
-its bit in `zero` records it.  Eliminations only shrink the sets, so
-`many` only loses bits and `zero` only gains them.
+member (`many`, bt-degree only) and none (`zero`); a set that empties
+is dropped, as its bit in `zero` records it.  Eliminations only shrink
+the sets, so `many` only loses bits and `zero` only gains them.
 
 Each rule scans its own items in a fixed order and watches the first
 one that fails; x_m fires once the scan runs out.  An item that holds
@@ -41,7 +41,7 @@ class BrokenTriangleEngine(Engine):
     generator over x_m's failing items in scan order that re-tests the
     item it last yielded each time it is resumed; it must not refer to
     the engine, or finished engines would wait for the cycle collector.
-    `out_of_row` says whether apexes outside r_i are tracked."""
+    `out_of_row` says whether apexes outside r_i and `many` are kept."""
 
     certify_neighbours = True
     out_of_row = True
@@ -103,7 +103,8 @@ class BrokenTriangleEngine(Engine):
                     if len(s) > 1:
                         mn |= 1 << u
                     btv[(i, v_i, u)] = s
-                many[(i, v_i)] = mn
+                if out_of_row:
+                    many[(i, v_i)] = mn
                 zero[(i, v_i)] = zr
 
         st = {"rm": rm, "btv": btv, "many": many, "zero": zero}
@@ -129,15 +130,15 @@ class BrokenTriangleEngine(Engine):
                     continue
                 s.discard(var)
                 i, v_i, u = key
-                if len(s) == 1:
-                    if self.audit is not None:
-                        self.audit.branch_fires[("deg-one", (m,) + key)] += 1
-                    st["many"][(i, v_i)] &= ~(1 << u)
-                elif not s:
+                if not s:
                     if self.audit is not None:
                         self.audit.branch_fires[("deg-zero", (m,) + key)] += 1
                     st["zero"][(i, v_i)] |= 1 << u
                     dead.append(key)
+                elif len(s) == 1 and self.out_of_row:
+                    if self.audit is not None:
+                        self.audit.branch_fires[("deg-one", (m,) + key)] += 1
+                    st["many"][(i, v_i)] &= ~(1 << u)
             for key in dead:
                 del btv[key]
 

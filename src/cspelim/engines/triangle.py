@@ -1,14 +1,26 @@
 """Incremental engine for the triangle (domination) rule.
 
-x_j justifies eliminating x_i when every v_j has a compatible v_i whose
-supports cover v_j's at every other neighbour of x_i.  The tables keep
-`badcnt`, which maps each row (j, v_j, i) no v_i covers yet to the
-per-v_i number of neighbours still breaking the covering, `count`, the
-number of such rows per (j, i), and `zero_just`, the live justifiers
-of each x_i.  A row's key goes when some v_i reaches count zero, and
-x_j justifies x_i once none of its rows is left.  Unlike the other
-rules this one is not hereditary — justifiers can themselves be
-eliminated — so queued candidates are revalidated before use.
+x_j justifies eliminating x_i when every v_j has a compatible v_i that
+covers it: row(j, k, v_j) lies in row(i, k, v_i) at every other
+neighbour x_k of x_i.
+
+Candidates.  Let NF(v_i) be the neighbours x_k where row(i, k, v_i) is
+not all of D(x_k).  A k that x_j does not constrain gives
+row(j, k, v_j) = D(x_k), which only a full row covers; so x_j can
+justify x_i only if, for some v_i, j is in the intersection of N(x_k)
+plus k over k in NF(v_i).  Rows never change and engines delete no
+values, so NF only shrinks: the candidates only grow, and only at the
+neighbours of an eliminated variable.
+
+Watched scan.  Each candidate pair (j, i) watches the first v_j that no
+v_i covers; j justifies i once the scan runs out.  A covered v_j stays
+covered while x_i and x_j are live, since an elimination only shrinks
+N(x_i) and leaves the covering v_i fewer rows to cover.  So the scan
+never goes back, and resumes only when a neighbour of x_i goes.
+
+Revalidation.  Justifiers can be eliminated too, so a queued x_i goes
+only if it has a live justifier, the smallest being its witness.  Pairs
+from a gone x_j are ignored, and dropped when a neighbour of x_i goes.
 """
 
 from __future__ import annotations
@@ -17,102 +29,89 @@ from ..model import iter_bits
 from .base import Engine
 
 
+def _losses(inst, i: int) -> dict:
+    """v_i -> (x_k, the values v_i forbids there) at each neighbour x_k of
+    x_i where v_i's row is not full; callers skip the x_k that are gone."""
+    return {v_i: [(k, m) for k in inst.neighbors(i)
+                  if (m := inst.dom_mask(k) & ~inst.row(i, k, v_i))]
+            for v_i in inst.dom(i)}
+
+
+def _candidates(inst, gone: set, i: int, lose: dict) -> set:
+    """The live x_j that pass the structural filter for x_i."""
+    closed = {k: {k, *inst.neighbors(k)} for k in inst.neighbors(i)}
+    found = set()
+    for losses in lose.values():
+        nf = [k for k, _ in losses if k not in gone]
+        if not nf:
+            found = set(inst.variables)
+            break
+        found |= set.intersection(*[closed[k] for k in nf])
+    return found - gone - {i}
+
+
+def _uncovered(inst, gone: set, j: int, i: int, lose: dict):
+    """The values of x_j that no compatible value of x_i covers, in scan
+    order; the one last yielded is tested again on each resumption."""
+    for v_j in inst.dom(j):
+        while not any(all(k == j or k in gone or not inst.row(j, k, v_j) & m
+                          for k, m in lose[v_i])
+                      for v_i in iter_bits(inst.row(j, i, v_j))):
+            yield v_j
+
+
 class TriangleEngine(Engine):
     rule = "triangle"
 
     def initialise(self) -> None:
-        inst = self.inst
-        live = inst.variables
-        # rows (j, v_j, i) that no compatible v_i covers yet -> per
-        # candidate v_i, the number of neighbours k of x_i where covering
-        # fails
-        self.badcnt: dict = {}
-        # (j, i) -> number of rows in badcnt; i -> live justifiers
-        self.count: dict = {}
-        self.zero_just: dict = {}
-
-        rowd = {}
-        lose = {}
-        for i in live:
-            nbrs = inst.neighbors(i)
-            for v in inst.dom(i):
-                rowd[(i, v)] = {k: inst.row(i, k, v) for k in nbrs}
-                lose[(i, v)] = [
-                    (k, m) for k in nbrs
-                    if (m := inst.dom_mask(k) & ~inst.row(i, k, v))]
-
-        for i in live:
-            ilen = inst.dom_mask(i).bit_length()
-            for j in live:
-                if j == i:
-                    continue
-                c = 0
-                for v_j in inst.dom(j):
-                    rows_j = rowd[(j, v_j)]
-                    cnts = [0] * ilen
-                    for v_i in iter_bits(inst.row(j, i, v_j)):
-                        bad = 0
-                        for k, lo in lose[(i, v_i)]:
-                            if k == j:
-                                continue
-                            r = rows_j.get(k)
-                            if r is None or r & lo:
-                                bad += 1
-                        if bad == 0:
-                            break
-                        cnts[v_i] = bad
-                    else:
-                        c += 1
-                        self.badcnt[(j, v_j, i)] = cnts
-                self.count[(j, i)] = c
-                if c == 0:
-                    self.zero_just.setdefault(i, set()).add(j)
-            self.zero_just.setdefault(i, set())
-            if self.zero_just[i]:
+        # i -> {candidate j: [scan, watched v_j], or None if j justifies i}
+        self.pairs: dict = {}
+        for i in self.inst.variables:
+            self.pairs[i] = {}
+            if self._extend(i):
                 self.push(i, "init")
 
+    def _extend(self, i: int) -> bool:
+        """Start the scans of x_i's new candidate pairs; did one run out?"""
+        pairs = self.pairs[i]
+        lose = _losses(self.inst, i)
+        new = _candidates(self.inst, self.eliminated, i, lose) - pairs.keys()
+        for j in new:
+            scan = _uncovered(self.inst, self.eliminated, j, i, lose)
+            watch = next(scan, None)
+            pairs[j] = None if watch is None else [scan, watch]
+        return any(pairs[j] is None for j in new)
+
+    def _justifiers(self, i: int) -> list:
+        return [j for j, w in self.pairs[i].items()
+                if w is None and j not in self.eliminated]
+
     def revalidate(self, i: int) -> bool:
-        return bool(self.zero_just.get(i))
+        return bool(self._justifiers(i))
 
     def check_witness(self, i: int, witness) -> None:
-        expect = min(self.zero_just[i])
+        expect = min(self._justifiers(i))
         if witness.justifier != expect:
             raise AssertionError(
                 "tables name %d as smallest justifier of %d, checker "
                 "found %d" % (expect, i, witness.justifier))
 
     def propagate(self, var: int, neighbors: list) -> None:
-        inst = self.inst
-        mask_var = inst.dom_mask(var)
-        # rows counted var as a covering breaker only at its neighbours
+        self.pairs.pop(var)
         for i in neighbors:
-            lose = {v_i: mask_var & ~inst.row(i, var, v_i)
-                    for v_i in inst.dom(i)}
-            for j in inst.variables:
-                if j == i or j == var:
-                    continue
-                for v_j in inst.dom(j):
-                    key = (j, v_j, i)
-                    cnts = self.badcnt.get(key)
-                    if cnts is None:
-                        continue
-                    row_jv = inst.row(j, var, v_j)
-                    for v_i in iter_bits(inst.row(j, i, v_j)):
-                        if row_jv & lose[v_i]:
-                            cnts[v_i] -= 1
-                            if cnts[v_i] == 0:
-                                if self.audit is not None:
-                                    self.audit.branch_fires[
-                                        ("row-supported", key)] += 1
-                                del self.badcnt[key]
-                                c = self.count[(j, i)] - 1
-                                self.count[(j, i)] = c
-                                if c == 0:
-                                    self.zero_just[i].add(j)
-                                    self.push(i, "prop")
-                                break
-        # the eliminated variable can no longer justify anyone
-        self.zero_just.pop(var, None)
-        for i in inst.variables:
-            if i != var:
-                self.zero_just[i].discard(var)
+            pairs = self.pairs[i]
+            found = False
+            for j, w in list(pairs.items()):
+                if j in self.eliminated:
+                    del pairs[j]
+                elif w is not None:
+                    watch = next(w[0], None)
+                    if watch != w[1] and self.audit is not None:
+                        self.audit.branch_fires[
+                            ("row-supported", (j, w[1], i))] += 1
+                    w[1] = watch
+                    if watch is None:
+                        pairs[j] = None
+                        found = True
+            if self._extend(i) or found:
+                self.push(i, "prop")

@@ -112,6 +112,74 @@ def disjoint_union(a: Instance, b: Instance) -> Instance:
     return Instance.build(domains, constraints)
 
 
+def _relation(rng: random.Random, d: int, p2: float) -> list:
+    """Value pairs over 0..d-1, each forbidden with probability p2; with
+    p2 = 0 every row is full."""
+    return [(a, b) for a in range(d) for b in range(d)
+            if rng.random() >= p2]
+
+
+def _sparse_constraints(rng: random.Random, n: int, d: int,
+                        tightness=(0.0, 0.25, 0.4)) -> dict:
+    """About 1.5n random edges, each with a tightness drawn from
+    `tightness`."""
+    constraints = {}
+    for _ in range(3 * n // 2):
+        i, j = sorted(rng.sample(range(n), 2))
+        constraints[(i, j)] = _relation(rng, d, rng.choice(tightness))
+    return constraints
+
+
+def _with_clones(rng: random.Random, n: int, d: int, clones: int) -> dict:
+    """Sparse random constraints over n - clones variables, then each
+    further variable copies every current relation of an earlier one,
+    so the two have identical rows everywhere else; half the pairs are
+    also tied by equality."""
+    base = n - clones
+    constraints = _sparse_constraints(rng, base, d)
+    for c in range(base, n):
+        s = rng.randrange(c)
+        for (a, b), allowed in list(constraints.items()):
+            if a == s:
+                constraints[(b, c)] = [(w, v) for v, w in allowed]
+            elif b == s:
+                constraints[(a, c)] = list(allowed)
+        if rng.random() < 0.5:
+            constraints[(s, c)] = [(v, v) for v in range(d)]
+    return constraints
+
+
+def structured_families(seed: int, n: int, d: int = 3) -> dict:
+    """One seeded instance of about n variables per structured family,
+    domains 0..d-1:
+
+    - star: a centre constrained to every leaf, leaves unconstrained;
+    - clique: n // 2 variables, every pair loosely constrained;
+    - clones: sparse random with n // 4 clone variables (`_with_clones`);
+    - union: two disjoint halves, a star and a sparse instance;
+    - sparse: about 1.5n edges, a third of them declared with full rows.
+    """
+    rng = random.Random("structured-%d-%d-%d" % (seed, n, d))
+    doms = [list(range(d))] * n
+    half = n // 2
+    star = {(0, k): _relation(rng, d, rng.choice((0.0, 0.3)))
+            for k in range(1, n)}
+    clique = {(i, j): _relation(rng, d, 0.1)
+              for i in range(half) for j in range(i + 1, half)}
+    union = disjoint_union(
+        Instance.build(doms[:half], {key: star[key] for key in star
+                                     if key[1] < half}),
+        Instance.build(doms[half:],
+                       _sparse_constraints(rng, n - half, d)))
+    return {
+        "star": Instance.build(doms, star),
+        "clique": Instance.build(doms[:half], clique),
+        "clones": Instance.build(doms, _with_clones(rng, n, d, n // 4)),
+        "union": union,
+        "sparse": Instance.build(doms, _sparse_constraints(rng, n, d)),
+    }
+
+
 def small_random(seed: int, n: int = 6, d: int = 3,
                  p1: float = 0.5, p2: float = 0.4) -> Instance:
     return random_instance(GeneratorConfig(n, d, p1, p2, seed=seed))
