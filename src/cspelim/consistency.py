@@ -41,30 +41,42 @@ def is_arc_consistent(inst: Instance) -> bool:
     return True
 
 
-def revise_to_fixpoint(inst: Instance, masks: dict,
-                       queue: deque) -> tuple[int, int] | None:
+def revise_to_fixpoint(relations: dict, neighbors: dict, masks: dict,
+                       queue: deque, trail: list) -> tuple[int, int] | None:
     """AC-3 revise loop over live-value masks, narrowed in place.
 
-    A queued arc (j, i) removes from ``masks[j]`` every value with no
-    support in ``masks[i]``; when x_j shrinks, every arc (k, j) with
-    k != i is queued again (duplicates included).  Returns the arc
-    (j, i) whose revision wiped x_j out, or None at the fixpoint.
+    `relations` holds the rows of every constraint as in
+    ``Instance.relations``; `neighbors` maps each variable to its
+    constrained variables, ascending.  A queued arc (j, i) keeps in
+    ``masks[j]`` the values with a support in ``masks[i]``.  That is the
+    OR of the reverse rows (i, j) over ``masks[i]``, one row per live
+    value of x_i, stopping as soon as it covers ``masks[j]`` (Lecoutre
+    and Vion, CPL 2008).  Each narrowing pushes (j, old mask) on
+    `trail`, so a caller can undo it.  When x_j shrinks, every arc (k, j)
+    with k != i is queued again (duplicates included).  Returns the arc
+    (j, i) whose revision wiped x_j out, or None at the fixpoint.  Every
+    mask must lie within its variable's live domain.
     """
     while queue:
         j, i = queue.popleft()
+        mj = masks[j]
+        rows = relations[i, j]
         mi = masks[i]
-        kept = 0
-        for w in iter_bits(masks[j]):
-            if inst.row(j, i, w) & mi:
-                kept |= 1 << w
-        if kept == masks[j]:
-            continue
-        masks[j] = kept
-        if not kept:
-            return j, i
-        for k in inst.neighbors(j):
-            if k != i:
-                queue.append((k, j))
+        sup = 0
+        while mi:
+            low = mi & -mi
+            sup |= rows[low.bit_length() - 1]
+            if not mj & ~sup:
+                break
+            mi ^= low
+        else:
+            kept = mj & sup
+            if kept != mj:
+                trail.append((j, mj))
+                masks[j] = kept
+                if not kept:
+                    return j, i
+                queue.extend([(k, j) for k in neighbors[j] if k != i])
     return None
 
 
@@ -77,9 +89,10 @@ def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
     deleted by then depends on the revise order.
     """
     cur = inst.copy()
+    neighbors = {i: cur.neighbors(i) for i in cur.variables}
     masks = {i: cur.dom_mask(i) for i in cur.variables}
-    queue = deque((i, j) for i in cur.variables for j in cur.neighbors(i))
-    wipeout = revise_to_fixpoint(cur, masks, queue)
+    queue = deque((i, j) for i in cur.variables for j in neighbors[i])
+    wipeout = revise_to_fixpoint(cur.relations, neighbors, masks, queue, [])
     log: list[Deletion] = []
     for i in cur.variables:
         for v in iter_bits(cur.dom_mask(i) & ~masks[i]):

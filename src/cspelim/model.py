@@ -170,6 +170,13 @@ class Instance:
             return self._mask[j]
         return r[v] & self._mask[j]
 
+    @property
+    def relations(self) -> dict[tuple[int, int], list[int]]:
+        """The stored constraints, read-only: (i, j) maps to one row per
+        value v of x_i, the mask over D(x_j) allowed with x_i = v, deleted
+        values not masked out.  Both orientations of a pair are keys."""
+        return self._rows
+
     def compatible(self, i: int, v_i: int, j: int, v_j: int) -> bool:
         """True iff (v_i, v_j) is allowed for (x_i, x_j)."""
         if not (self._mask[i] >> v_i) & 1:

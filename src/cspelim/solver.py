@@ -1,13 +1,21 @@
 """Complete search and solution reconstruction.
 
 `mac_solve` is a MAC backtracker (arc consistency re-established after
-every assignment) with conflict-weighted degree variable ordering and
-geometric restarts.  `reconstruct_solution` replays an elimination trace
-backwards, extending a solution of the reduced instance to the original.
+every assignment) with conflict-weighted degree (dom/wdeg) variable
+ordering and geometric restarts.  It keeps one dict of domain masks and
+a trail of (variable, old mask) pairs, undone on failure, so memory is
+linear in the search depth (Schulte, "Comparing trailing and copying
+for constraint programming", ICLP 1999).  Weight sums toward unassigned
+neighbours are kept incrementally, so a pick costs O(1) per variable.
+Propagation is `revise_to_fixpoint`'s reverse-row revise.
+`reconstruct_solution` replays an elimination trace backwards,
+extending a solution of the reduced instance to the original.
 """
 
 from __future__ import annotations
 
+import bisect
+import dataclasses
 import math
 import time
 from collections import deque
@@ -56,38 +64,55 @@ def _log(log, line: str) -> None:
 
 
 class _Attempt:
-    """One restart: depth-first MAC limited to `budget` backtracks."""
+    """One restart: depth-first MAC limited to `budget` backtracks.
 
-    def __init__(self, inst: Instance, weights: dict, budget: int,
-                 deadline: Optional[float]):
-        self.inst = inst
+    The live domains are one dict of masks, changed in place.  Every
+    change pushes (variable, old mask) on a trail, and each search frame
+    remembers the trail length before its variable was assigned; each
+    value tried pops the trail back to that mark first.
+    ``wsum[i]`` is the weight of x_i's constraints toward unassigned
+    neighbours, kept current on assign, unassign and weight bump, and
+    ``free`` lists the unassigned variables in index order.
+    """
+
+    def __init__(self, inst: Instance, neighbors: dict, weights: dict,
+                 budget: int, deadline: Optional[float]):
+        self.relations = inst.relations
+        self.neighbors = neighbors
         self.weights = weights
         self.budget = budget
         self.deadline = deadline
         self.backtracks = 0
         self.assigned: dict = {}
+        self.free = list(neighbors)
+        self.masks = {i: inst.dom_mask(i) for i in neighbors}
+        self.trail: list = []
+        self.wsum = {i: sum(weights[(min(i, j), max(i, j))] for j in nbrs)
+                     for i, nbrs in neighbors.items()}
 
     def run(self) -> Optional[dict]:
-        masks = {i: self.inst.dom_mask(i) for i in self.inst.variables}
-        # one frame per assigned variable: (variable, domains before its
-        # assignment, its untried values)
+        masks = self.masks
+        trail = self.trail
+        # one frame per assigned variable: (variable, trail length before
+        # its assignment, its untried values)
         stack = []
         while True:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 raise TimeBudgetExceeded()
-            x = self._pick(masks)
+            x = self._pick()
             if x is None:
                 return dict(self.assigned)
-            stack.append((x, masks, iter_bits(masks[x])))
-            masks = None
-            while masks is None:
-                x, before, values = stack[-1]
+            stack.append((x, len(trail), iter_bits(masks[x])))
+            placed = False
+            while not placed:
+                x, mark, values = stack[-1]
                 for v in values:
-                    child = dict(before)
-                    child[x] = 1 << v
-                    if self._propagate(child, x):
-                        self.assigned[x] = v
-                        masks = child
+                    self._undo(mark)
+                    trail.append((x, masks[x]))
+                    masks[x] = 1 << v
+                    if self._propagate(x):
+                        self._assign(x, v)
+                        placed = True
                         break
                 else:
                     if self.backtracks >= self.budget:
@@ -96,35 +121,59 @@ class _Attempt:
                     stack.pop()
                     if not stack:
                         return None
-                    del self.assigned[stack[-1][0]]
+                    self._unassign(stack[-1][0])
 
-    def _pick(self, masks: dict) -> Optional[int]:
+    def _undo(self, mark: int) -> None:
+        masks = self.masks
+        trail = self.trail
+        while len(trail) > mark:
+            i, old = trail.pop()
+            masks[i] = old
+
+    def _assign(self, x: int, v: int) -> None:
+        self.assigned[x] = v
+        self.free.remove(x)
+        for j in self.neighbors[x]:
+            self.wsum[j] -= self.weights[(min(x, j), max(x, j))]
+
+    def _unassign(self, x: int) -> None:
+        del self.assigned[x]
+        bisect.insort(self.free, x)
+        for j in self.neighbors[x]:
+            self.wsum[j] += self.weights[(min(x, j), max(x, j))]
+
+    def _pick(self) -> Optional[int]:
         """Smallest ratio of live values to weights of constraints toward
         uninstantiated neighbours; unconstrained variables last; ties by
         variable index."""
-        best = None
-        best_score = None
-        for i in self.inst.variables:
-            if i in self.assigned:
-                continue
-            wsum = 0
-            for j in self.inst.neighbors(i):
-                if j not in self.assigned:
-                    wsum += self.weights[(min(i, j), max(i, j))]
-            score = masks[i].bit_count() / wsum if wsum else math.inf
-            if best_score is None or score < best_score:
-                best, best_score = i, score
+        if not self.free:
+            return None
+        masks = self.masks
+        wsum = self.wsum
+        best = self.free[0]
+        best_score = math.inf
+        for i in self.free:
+            if wsum[i]:
+                score = masks[i].bit_count() / wsum[i]
+                if score < best_score:
+                    best, best_score = i, score
         return best
 
-    def _propagate(self, masks: dict, start: int) -> bool:
+    def _propagate(self, start: int) -> bool:
         """Re-establish arc consistency after narrowing `start`.  On a
         wipeout, bump the culprit constraint's weight and fail."""
-        queue = deque((j, start) for j in self.inst.neighbors(start))
-        wipeout = revise_to_fixpoint(self.inst, masks, queue)
+        queue = deque((j, start) for j in self.neighbors[start])
+        wipeout = revise_to_fixpoint(self.relations, self.neighbors,
+                                     self.masks, queue, self.trail)
         if wipeout is None:
             return True
         j, i = wipeout
         self.weights[(min(i, j), max(i, j))] += 1
+        # wsum counts the pair from an end whose other end is unassigned
+        if j not in self.assigned:
+            self.wsum[i] += 1
+        if i not in self.assigned:
+            self.wsum[j] += 1
         return False
 
 
@@ -148,12 +197,13 @@ def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,
         _log(log, "verdict unsat")
         return None
     weights = {pair: 1 for pair in root.pairs()}
+    neighbors = {i: root.neighbors(i) for i in root.variables}
     total = 0
     k = 0
     while True:
         budget = int(cfg.initial_backtracks * cfg.restart_factor ** k)
         _log(log, "restart %d %d" % (k, budget))
-        attempt = _Attempt(root, weights, budget, deadline)
+        attempt = _Attempt(root, neighbors, weights, budget, deadline)
         try:
             solution = attempt.run()
         except _Restart:
@@ -251,9 +301,11 @@ def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
                              log: Optional[list] = None) -> Optional[dict]:
     """Arc consistency, singleton elimination, optional variable
     elimination under `rule`, MAC on the remainder, then reconstruction
-    back to the original instance."""
+    back to the original instance.  The time limit covers the whole
+    pipeline: the search gets what preprocessing left of it."""
     from .engines import run_engine
 
+    start = time.monotonic()
     root, _, ok = enforce_ac(inst)
     if not ok:
         return None
@@ -264,6 +316,9 @@ def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
     if rule is not None and rule != "none":
         cur, rule_entries = run_engine(cur, rule)
         entries.extend(rule_entries)
+    if config is not None and config.time_limit is not None:
+        left = config.time_limit - (time.monotonic() - start)
+        config = dataclasses.replace(config, time_limit=max(0.0, left))
     reduced_solution = mac_solve(cur, config, log)
     if reduced_solution is None:
         return None

@@ -1,17 +1,20 @@
 """Arc consistency, variable elimination, singleton removal, and
 neighbourhood substitution."""
 
+import hashlib
 import random
+from collections import deque
 
 import pytest
 
-from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Instance,
-                     brute_force_solve, eliminate_singletons,
+from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
+                     Instance, brute_force_solve, eliminate_singletons,
                      eliminate_variable, enforce_ac, is_arc_consistent,
-                     ns_fixpoint)
+                     ns_fixpoint, random_instance)
+from cspelim.consistency import revise_to_fixpoint
 from conftest import (broken_triangle_instance, degree_gap_instance,
                       disjoint_union, random_tree_instance, small_random,
-                      star_instance)
+                      star_instance, structured_families)
 
 
 def slow_ac_domains(inst):
@@ -59,6 +62,19 @@ def test_gap_instance_loses_one_value(gap_inst):
     assert brute_force_solve(gap_inst) is not None
 
 
+def revise_cases():
+    """Structured families and uniform random instances, d from 2 to 12;
+    about a fifth wipe out under AC."""
+    cases = []
+    for seed in range(4):
+        for d in (5, 12):
+            cases += structured_families(seed, 14, d).values()
+    for seed in range(80):
+        cases.append(random_instance(GeneratorConfig(
+            6 + seed % 7, 2 + seed % 11, 0.5, 0.3 + 0.05 * (seed % 9), seed)))
+    return cases
+
+
 def test_enforce_ac_matches_slow_fixpoint():
     cases = [small_random(seed, n=6, d=3, p2=0.55) for seed in range(60)]
     cases += [random_tree_instance(9, 2 + seed % 2, seed) for seed in range(12)]
@@ -66,6 +82,7 @@ def test_enforce_ac_matches_slow_fixpoint():
                              random_tree_instance(6, 2, seed))
               for seed in range(12)]
     cases.append(disjoint_union(star_instance(4), broken_triangle_instance()))
+    cases += revise_cases()
     for inst in cases:
         before = {i: list(inst.dom(i)) for i in inst.variables}
         reduced, log, ok = enforce_ac(inst)
@@ -80,6 +97,40 @@ def test_enforce_ac_matches_slow_fixpoint():
             assert reduced.wiped
         # the original is untouched
         assert {i: inst.dom(i) for i in inst.variables} == before
+
+
+# sha256 of the wipeout arc, the live masks at that point and the AC
+# deletion log of every wiped case, recorded with the per-value revise
+# that the reverse-row revise replaced
+WIPEOUT_DIGEST = (
+    "1f8ccef8005e27b7ad6a06d85207dcd9af332f2588d07ff39d61c4593e5ec7d9")
+
+
+def test_revise_wipeout_is_pinned():
+    # on a wipeout, AC's result depends on the revise order, which the
+    # search's weight bumps also depend on
+    wiped = 0
+    digest = hashlib.sha256()
+    for case, inst in enumerate(revise_cases()):
+        _, log, ok = enforce_ac(inst)
+        if ok:
+            continue
+        wiped += 1
+        neighbors = {i: inst.neighbors(i) for i in inst.variables}
+        masks = {i: inst.dom_mask(i) for i in inst.variables}
+        queue = deque((i, j) for i in inst.variables for j in neighbors[i])
+        trail = []
+        arc = revise_to_fixpoint(inst.relations, neighbors, masks, queue,
+                                 trail)
+        assert arc is not None and masks[arc[0]] == 0, case
+        digest.update(repr((case, arc, sorted(masks.items()), len(queue),
+                            [(d.var, d.value) for d in log])).encode())
+        # the trail undoes every narrowing
+        for i, old in reversed(trail):
+            masks[i] = old
+        assert masks == {i: inst.dom_mask(i) for i in inst.variables}, case
+    assert wiped >= 20
+    assert digest.hexdigest() == WIPEOUT_DIGEST
 
 
 def test_enforce_ac_preserves_satisfiability():

@@ -1,13 +1,18 @@
 """MAC search, restarts, reconstruction, and the end-to-end pipeline."""
 
 import dataclasses
+import hashlib
+import time
+import tracemalloc
 
 import pytest
 
-from cspelim import (Instance, ReconstructionError, SearchConfig,
-                     TimeBudgetExceeded, brute_force_solve, enforce_ac,
-                     is_solution, mac_solve, naive_fixpoint,
-                     reconstruct_solution, solve_with_preprocessing)
+import cspelim.engines
+from cspelim import (GeneratorConfig, Instance, ReconstructionError,
+                     SearchConfig, TimeBudgetExceeded, brute_force_solve,
+                     enforce_ac, is_solution, mac_solve, naive_fixpoint,
+                     random_instance, reconstruct_solution,
+                     solve_with_preprocessing)
 from conftest import (clique_instance, disjoint_union, random_tree_instance,
                       small_random, star_instance)
 
@@ -41,12 +46,49 @@ def test_mac_agrees_with_brute_force():
 
 
 def test_mac_solves_chain_longer_than_recursion_limit():
-    # one stack frame per assigned variable would overflow at ~1,000
-    n = 1200
+    # one stack frame per assigned variable would overflow at ~1,000, and
+    # a copy of every domain per search node would need n**2 / 2 masks,
+    # about 170 MB here
+    n = 2400
     neq = [(a, b) for a in range(3) for b in range(3) if a != b]
     chain = Instance.build([[0, 1, 2]] * n,
                            {(i, i + 1): neq for i in range(n - 1)})
-    assert is_solution(chain, mac_solve(chain))
+    tracemalloc.start()
+    try:
+        sol = mac_solve(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_solution(chain, sol)
+    assert peak < 10 * 2**20, peak
+
+
+# sha256 of every log and solution below, recorded with the copying
+# search that the trail replaced
+SEARCH_ORDER_DIGEST = (
+    "6fa59f4931d2958747ad51472b801e80c6b6f5142a2b1d8cb0422e30cc72f195")
+
+
+def test_search_order_is_pinned():
+    # near the satisfiability threshold for d = 8, both verdicts, and
+    # small budgets so that most unsat runs restart several times
+    digest = hashlib.sha256()
+    verdicts = set()
+    restarted = 0
+    for seed in range(16):
+        inst = random_instance(GeneratorConfig(
+            30 + seed % 11, 8, 0.25, (0.28, 0.37)[seed % 2], seed))
+        log = []
+        sol = mac_solve(inst, SearchConfig(initial_backtracks=10), log)
+        verdicts.add(log[-1])
+        restarted += sum(line.startswith("restart") for line in log) > 1
+        if sol is not None:
+            assert is_solution(inst, sol), seed
+        digest.update(repr((seed, log, None if sol is None
+                            else sorted(sol.items()))).encode())
+    assert verdicts == {"verdict sat", "verdict unsat"}
+    assert restarted >= 4
+    assert digest.hexdigest() == SEARCH_ORDER_DIGEST
 
 
 def test_backtrack_free_run_logs_single_restart(star):
@@ -77,6 +119,22 @@ def test_time_limit_raises_and_logs():
     log = []
     with pytest.raises(TimeBudgetExceeded):
         mac_solve(clique_instance(6, 5), SearchConfig(time_limit=0.0), log)
+    assert log == ["restart 0 100", "backtracks 0", "verdict timeout"]
+
+
+def test_time_limit_counts_preprocessing(monkeypatch):
+    # the engine alone outlasts the limit, so the search gets no time
+    run_engine = cspelim.engines.run_engine
+
+    def slow_engine(inst, rule):
+        time.sleep(0.05)
+        return run_engine(inst, rule)
+
+    monkeypatch.setattr(cspelim.engines, "run_engine", slow_engine)
+    log = []
+    with pytest.raises(TimeBudgetExceeded):
+        solve_with_preprocessing(clique_instance(6, 5), "triangle",
+                                 SearchConfig(time_limit=0.01), log)
     assert log == ["restart 0 100", "backtracks 0", "verdict timeout"]
 
 
