@@ -1,10 +1,21 @@
 """Shared machinery for the incremental elimination engines.
 
-Each engine maintains bookkeeping tables that certify, at every point,
-exactly which live variables its rule can eliminate.  Candidates sit in
-a min-priority queue on variable index, so the engine eliminates the
-same variable the naive smallest-index rescan would; with exact tables
-the produced traces coincide with the naive fixpoint's.
+Every rule has one shape: x_i can go when, for some key (a value v_i
+for the snake rules, a justifier x_j for triangle, x_i itself for the
+broken-triangle rules), a forbidden pattern occurs on none of a fixed
+list of items.  Engines check this with watched scans (Gent, Jefferson
+& Miguel, "Watched literals for constraint propagation in Minion",
+CP 2006).  A scan is a generator over the items that fail, in a fixed
+order; resumed, it tests the item it last yielded again and goes on
+past it once it holds.  An item that holds never fails again, so a
+scan never goes back, and x_i is eliminable exactly when one of its
+scans has run out.  A scan must not refer to the engine: the engine
+holds the scan, and the cycle would keep a finished engine's tables
+alive until the cycle collector runs.
+
+Candidates sit in a min-priority queue on variable index, so the engine
+eliminates the same variable the naive smallest-index rescan would;
+with exact scans the produced traces coincide with the naive fixpoint's.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ class EngineAudit:
 
 class Engine:
     """Base fixpoint loop.  Subclasses set `rule`, implement
-    `initialise()` and `propagate(var, neighbors)`, and push candidates
-    through `push()` whenever their tables certify eliminability."""
+    `initialise()` and `propagate(var, neighbors)`, start scans with
+    `watch()` and resume them with `resume()`."""
 
     rule = ""
     # Certify each elimination over x_i's neighbours only.  The extension
@@ -46,6 +57,8 @@ class Engine:
         self._heap: list[int] = []
         self._queued: set[int] = set()
         self.eliminated: set[int] = set()
+        # i -> {key: [scan, watched item], or None once the scan ran out}
+        self.scans: dict = {i: {} for i in inst.variables}
 
     # -- queue -------------------------------------------------------
 
@@ -74,6 +87,33 @@ class Engine:
         """Cross-check the recomputed witness against the tables.
         Optional; engines override it as a cheap exactness canary."""
 
+    # -- watched scans -----------------------------------------------
+
+    def watch(self, i: int, key, scan, phase: str) -> None:
+        """Start `scan` for x_i under `key`; queue x_i if it runs out."""
+        item = next(scan, None)
+        self.scans[i][key] = None if item is None else [scan, item]
+        if item is None:
+            self.push(i, phase)
+
+    def resume(self, i: int) -> None:
+        """Test the watched item of each running scan of x_i again and
+        move the scan on if it holds; queue x_i if one runs out."""
+        scans = self.scans[i]
+        for key, w in scans.items():
+            if w is None:
+                continue
+            item = next(w[0], None)
+            if item == w[1]:
+                continue
+            if self.audit is not None:
+                self.audit.branch_fires[("advance", (i, key, w[1]))] += 1
+            if item is None:
+                scans[key] = None
+                self.push(i, "prop")
+            else:
+                w[1] = item
+
     # -- main loop ---------------------------------------------------
 
     def run(self) -> tuple[Instance, list[TraceEntry]]:
@@ -98,6 +138,7 @@ class Engine:
             entries.append(make_entry(self.inst, self.rule, i, witness))
             self.eliminated.add(i)
             self.propagate(i, nbrs)
+            del self.scans[i]
             # a rule elimination on an arc-consistent instance never
             # deletes values
             if eliminate_variable(self.inst, i)[0]:
@@ -112,9 +153,9 @@ class Engine:
         raise NotImplementedError
 
     def propagate(self, var: int, neighbors: list[int]) -> None:
-        """Update tables for the elimination of `var`.  Called while
-        `var` is still present in the instance (its rows are readable);
-        implementations must treat it as gone."""
+        """Update tables and resume scans for the elimination of `var`.
+        Called while `var` is still present in the instance (its rows
+        are readable); implementations must treat it as gone."""
         raise NotImplementedError
 
 

@@ -9,14 +9,14 @@ member (`many`, bt-degree only) and none (`zero`); a set that empties
 is dropped, as its bit in `zero` records it.  Eliminations only shrink
 the sets, so `many` only loses bits and `zero` only gains them.
 
-Each rule scans its own items in a fixed order and watches the first
-one that fails; x_m fires once the scan runs out.  An item that holds
-never fails again (the rows to x_m never change, since engines delete
-no values, and the masks only move as above), so the scan never goes
-back.  After an elimination next to x_m the watched item is tested
-again, and the scan resumes past it when it holds or its variable is
-gone.  Items at a non-neighbour hold automatically on arc-consistent
-input, so only neighbours are scanned.
+Each rule runs one watched scan per x_m (see `base.py`), keyed by m,
+over its own items; x_m fires once the scan runs out.  An item that
+holds never fails again: the rows to x_m never change, since engines
+delete no values, and the masks only move as above.  After an
+elimination next to x_m the scan resumes; it moves past the watched
+item when that holds or its variable is gone.  Items at a
+non-neighbour hold automatically on arc-consistent input, so only
+neighbours are scanned.
 
 bt-degree: every consistent base pair at x_m's neighbours reaches x_m
 through a value whose triangle degree vanishes on one side, or failing
@@ -37,21 +37,15 @@ from .base import Engine
 
 class BrokenTriangleEngine(Engine):
     """The shared table, initialiser and `propagate`.  Subclasses set
-    `rule`, `scan` and `out_of_row`.  `scan(inst, gone, st, nbrs)` is a
-    generator over x_m's failing items in scan order that re-tests the
-    item it last yielded each time it is resumed; it must not refer to
-    the engine, or finished engines would wait for the cycle collector.
-    `out_of_row` says whether apexes outside r_i and `many` are kept."""
+    `rule`, `scan` and `out_of_row`.  `scan(inst, gone, st, nbrs)` is
+    x_m's one watched scan (see `base.py`), keyed by m.  `out_of_row`
+    says whether apexes outside r_i and `many` are kept."""
 
     certify_neighbours = True
     out_of_row = True
 
     def initialise(self) -> None:
         self.st: dict = {}
-        # m -> the scan that found st[m]["watch"].  It reads st[m], so it
-        # is kept out of it: a reference cycle would hold a finished
-        # engine's tables until the cycle collector runs
-        self.scans: dict = {}
         for m in self.inst.variables:
             self._init_var(m)
 
@@ -107,17 +101,11 @@ class BrokenTriangleEngine(Engine):
                     many[(i, v_i)] = mn
                 zero[(i, v_i)] = zr
 
-        st = {"rm": rm, "btv": btv, "many": many, "zero": zero}
-        scan = self.scan(inst, self.eliminated, st, nbrs)
-        st["watch"] = next(scan, None)
-        self.st[m] = st
-        self.scans[m] = scan
-        if st["watch"] is None:
-            self.push(m, "init")
+        st = self.st[m] = {"rm": rm, "btv": btv, "many": many, "zero": zero}
+        self.watch(m, m, self.scan(inst, self.eliminated, st, nbrs), "init")
 
     def propagate(self, var: int, neighbors: list) -> None:
-        self.st.pop(var, None)
-        self.scans.pop(var, None)
+        del self.st[var]
         for m in neighbors:
             st = self.st[m]
             btv = st["btv"]
@@ -141,11 +129,7 @@ class BrokenTriangleEngine(Engine):
                     st["many"][(i, v_i)] &= ~(1 << u)
             for key in dead:
                 del btv[key]
-
-            if st["watch"] is not None:
-                st["watch"] = next(self.scans[m], None)
-                if st["watch"] is None:
-                    self.push(m, "prop")
+            self.resume(m)
 
 
 def _fails(st: dict, i: int, v_i: int, j: int, v_j: int) -> bool:

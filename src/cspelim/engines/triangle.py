@@ -12,15 +12,17 @@ plus k over k in NF(v_i).  Rows never change and engines delete no
 values, so NF only shrinks: the candidates only grow, and only at the
 neighbours of an eliminated variable.
 
-Watched scan.  Each candidate pair (j, i) watches the first v_j that no
-v_i covers; j justifies i once the scan runs out.  A covered v_j stays
-covered while x_i and x_j are live, since an elimination only shrinks
-N(x_i) and leaves the covering v_i fewer rows to cover.  So the scan
-never goes back, and resumes only when a neighbour of x_i goes.
+Watched scans (see `base.py`).  x_i keeps one scan per candidate x_j,
+keyed by j, over the values v_j that no v_i covers; j justifies i once
+it runs out.  A covered v_j stays covered while x_i and x_j are live,
+since an elimination only shrinks N(x_i) and leaves the covering v_i
+fewer rows to cover.  So the scan resumes only when a neighbour of x_i
+goes.
 
 Revalidation.  Justifiers can be eliminated too, so a queued x_i goes
-only if it has a live justifier, the smallest being its witness.  Pairs
-from a gone x_j are ignored, and dropped when a neighbour of x_i goes.
+only if it has a live justifier, the smallest being its witness.  Scans
+keyed by a gone x_j are ignored, and dropped when a neighbour of x_i
+goes.  The rule is not hereditary, so even a queued x_i is resumed.
 """
 
 from __future__ import annotations
@@ -64,26 +66,19 @@ class TriangleEngine(Engine):
     rule = "triangle"
 
     def initialise(self) -> None:
-        # i -> {candidate j: [scan, watched v_j], or None if j justifies i}
-        self.pairs: dict = {}
         for i in self.inst.variables:
-            self.pairs[i] = {}
-            if self._extend(i):
-                self.push(i, "init")
+            self._extend(i, "init")
 
-    def _extend(self, i: int) -> bool:
-        """Start the scans of x_i's new candidate pairs; did one run out?"""
-        pairs = self.pairs[i]
+    def _extend(self, i: int, phase: str) -> None:
+        """Start the scans of x_i's new candidate pairs, keyed by j."""
         lose = _losses(self.inst, i)
-        new = _candidates(self.inst, self.eliminated, i, lose) - pairs.keys()
-        for j in new:
-            scan = _uncovered(self.inst, self.eliminated, j, i, lose)
-            watch = next(scan, None)
-            pairs[j] = None if watch is None else [scan, watch]
-        return any(pairs[j] is None for j in new)
+        new = _candidates(self.inst, self.eliminated, i, lose)
+        for j in new - self.scans[i].keys():
+            self.watch(i, j, _uncovered(self.inst, self.eliminated, j, i,
+                                        lose), phase)
 
     def _justifiers(self, i: int) -> list:
-        return [j for j, w in self.pairs[i].items()
+        return [j for j, w in self.scans[i].items()
                 if w is None and j not in self.eliminated]
 
     def revalidate(self, i: int) -> bool:
@@ -97,21 +92,9 @@ class TriangleEngine(Engine):
                 "found %d" % (expect, i, witness.justifier))
 
     def propagate(self, var: int, neighbors: list) -> None:
-        self.pairs.pop(var)
         for i in neighbors:
-            pairs = self.pairs[i]
-            found = False
-            for j, w in list(pairs.items()):
-                if j in self.eliminated:
-                    del pairs[j]
-                elif w is not None:
-                    watch = next(w[0], None)
-                    if watch != w[1] and self.audit is not None:
-                        self.audit.branch_fires[
-                            ("row-supported", (j, w[1], i))] += 1
-                    w[1] = watch
-                    if watch is None:
-                        pairs[j] = None
-                        found = True
-            if self._extend(i) or found:
-                self.push(i, "prop")
+            scans = self.scans[i]
+            for j in scans.keys() & self.eliminated:
+                del scans[j]
+            self.resume(i)
+            self._extend(i, "prop")

@@ -337,6 +337,8 @@ def parse_instance(text: str) -> Instance:
             raise FormatError("dom line announces %d values, lists %d" % (k, len(rest)), lineno)
         if len(set(rest)) != k:
             raise FormatError("duplicate value in domain of variable %d" % i, lineno)
+        if rest and min(rest) < 0:
+            raise FormatError("negative value in domain of variable %d" % i, lineno)
         domains[i] = rest
 
     inst = Instance.build([domains[i] for i in range(n)])

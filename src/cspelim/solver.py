@@ -37,8 +37,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.initial_backtracks < 1:
             raise ValueError("initial_backtracks must be >= 1")
-        if self.restart_factor < 1.0:
-            raise ValueError("restart_factor must be >= 1.0")
+        # the negated comparisons also reject NaN
+        if not 1.0 <= self.restart_factor < math.inf:
+            raise ValueError("restart_factor must be finite and >= 1.0")
+        if self.time_limit is not None and not self.time_limit >= 0.0:
+            raise ValueError("time_limit must be >= 0")
 
 
 class TimeBudgetExceeded(Exception):

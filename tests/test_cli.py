@@ -242,6 +242,13 @@ def test_cli_error_handling(tmp_path, capsys):
     assert main(["--help"]) == 0
     assert main(["preprocess"]) == 1  # missing required arguments
     capsys.readouterr()
+    # rejected by SearchConfig before any search starts
+    path = write_instance(tmp_path, clique_instance(6, 5))
+    for flag, field in (("--factor", "restart_factor"),
+                        ("--time-limit", "time_limit")):
+        assert main(["solve", path, flag, "nan"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: %s must be" % field), flag
 
 
 def test_cli_reports_unexpected_errors(tmp_path, capsys, monkeypatch):

@@ -151,6 +151,7 @@ def test_parse_rejects_malformed_input():
         good.replace("vars 3", "vars 2"),
         "BCSP 1\nvars 1\ndom 0 2 0\n",
         "BCSP 1\nvars 1\ndom 0 1 x\n",
+        "BCSP 1\nvars 1\ndom 0 1 -3\nend\n",
         "BCSP 1\nvars 2\ndom 0 1 0\ndom 1 1 0\ncon 0 1 2\n0 0\n",
         "BCSP 1\nvars 2\ndom 0 1 0\ndom 1 1 0\ncon 0 1 1\n0 7\n",
     ]:
@@ -162,6 +163,9 @@ def test_parse_reports_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_instance("BCSP 1\nvars 1\ndom 0 1 x\n")
     assert "line 3" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        parse_instance("BCSP 1\nvars 2\ndom 0 1 0\ndom 1 2 4 -3\nend\n")
+    assert str(err.value) == "line 4: negative value in domain of variable 1"
 
 
 def test_iter_bits():

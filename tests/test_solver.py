@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import time
 import tracemalloc
 
@@ -24,6 +25,29 @@ def test_search_config_validation():
         SearchConfig(restart_factor=0.99)
     cfg = SearchConfig()
     assert cfg.initial_backtracks == 100 and cfg.restart_factor == 1.1
+
+
+def test_search_config_rejects_nan_restart_factor():
+    # NaN compares false with everything, so `< 1.0` let it through and
+    # the second restart failed converting the budget to an int
+    with pytest.raises(ValueError, match="restart_factor"):
+        SearchConfig(restart_factor=math.nan)
+
+
+def test_search_config_rejects_infinite_restart_factor():
+    with pytest.raises(ValueError, match="restart_factor"):
+        SearchConfig(restart_factor=math.inf)
+
+
+def test_search_config_rejects_nan_time_limit():
+    with pytest.raises(ValueError, match="time_limit"):
+        SearchConfig(time_limit=math.nan)
+
+
+def test_search_config_rejects_negative_time_limit():
+    with pytest.raises(ValueError, match="time_limit"):
+        SearchConfig(time_limit=-1.0)
+    assert SearchConfig(time_limit=0.0).time_limit == 0.0
 
 
 def test_mac_agrees_with_brute_force():
