@@ -7,18 +7,21 @@ broken-triangle table shared with bt-degree (`bt_degree.py`).  aebtp
 reads that table only at the apexes in r_j, and its items are the
 neighbour assignments (neighbours, then values); the watched one has
 `zero[(j, v_j)] & rm[(j, v_j)] == 0`, and x_m fires once none is left.
+The scan builds each entry on first read, which is exact (`bt_degree.py`).
 """
 
 from __future__ import annotations
 
-from .bt_degree import BrokenTriangleEngine
+from .bt_degree import BrokenTriangleEngine, zero_mask
 
 
-def _unsupported(st: dict, j: int, v_j: int) -> bool:
+def _unsupported(inst, gone: set, st: dict, nbrs: list,
+                 j: int, v_j: int) -> bool:
     """Is every value of x_m compatible with (x_j, v_j) still apex of a
     broken triangle with it in the base?  Once false it stays false:
     `zero` only gains bits."""
-    return not st["zero"][(j, v_j)] & st["rm"][(j, v_j)]
+    return not (zero_mask(inst, gone, st, nbrs, j, v_j, False)
+                & st["rm"][(j, v_j)])
 
 
 def _unsupported_assignments(inst, gone: set, st: dict, nbrs: list):
@@ -26,7 +29,7 @@ def _unsupported_assignments(inst, gone: set, st: dict, nbrs: list):
     of x_m, in scan order; eliminated variables are skipped."""
     for j in nbrs:
         for v_j in inst.dom(j):
-            while j not in gone and _unsupported(st, j, v_j):
+            while j not in gone and _unsupported(inst, gone, st, nbrs, j, v_j):
                 yield j, v_j
 
 

@@ -10,13 +10,15 @@ is dropped, as its bit in `zero` records it.  Eliminations only shrink
 the sets, so `many` only loses bits and `zero` only gains them.
 
 Each rule runs one watched scan per x_m (see `base.py`), keyed by m,
-over its own items; x_m fires once the scan runs out.  An item that
-holds never fails again: the rows to x_m never change, since engines
-delete no values, and the masks only move as above.  After an
-elimination next to x_m the scan resumes; it moves past the watched
-item when that holds or its variable is gone.  Items at a
-non-neighbour hold automatically on arc-consistent input, so only
-neighbours are scanned.
+over its own neighbours' items (a non-neighbour's hold on
+arc-consistent input); x_m fires once the scan runs out.  An item that
+holds never fails again: the rows to x_m never change and the masks
+only move as above.  After an elimination next to x_m the scan resumes
+and moves past the watched item once that holds or its variable is
+gone.  An entry is built when the scan first reads it, leaving out the
+eliminated variables.  Engines delete no values, so the table is a
+function of the live instance and a late entry equals an eager one
+updated by every `propagate` since; most are never built.
 
 bt-degree: every consistent base pair at x_m's neighbours reaches x_m
 through a value whose triangle degree vanishes on one side, or failing
@@ -36,115 +38,110 @@ from .base import Engine
 
 
 class BrokenTriangleEngine(Engine):
-    """The shared table, initialiser and `propagate`.  Subclasses set
-    `rule`, `scan` and `out_of_row`.  `scan(inst, gone, st, nbrs)` is
-    x_m's one watched scan (see `base.py`), keyed by m.  `out_of_row`
-    says whether apexes outside r_i and `many` are kept."""
+    """The shared table and `propagate`.  Subclasses set `rule`, `scan`
+    (x_m's one watched scan, `scan(inst, gone, st, nbrs)`, keyed by m)
+    and `out_of_row` (whether apexes outside r_i and `many` are kept)."""
 
     certify_neighbours = True
     out_of_row = True
 
     def initialise(self) -> None:
+        inst, gone = self.inst, self.eliminated
         self.st: dict = {}
-        for m in self.inst.variables:
-            self._init_var(m)
-
-    def _init_var(self, m: int) -> None:
-        inst = self.inst
-        out_of_row = self.out_of_row
-        nbrs = inst.neighbors(m)
-        # rows to and from x_m, each read once
-        rm = {(t, v): inst.row(t, m, v) for t in nbrs for v in inst.dom(t)}
-        mcols = {u: [inst.row(m, t, u) for t in nbrs] for u in inst.dom(m)}
-        ncols = {u: [~r for r in col] for u, col in mcols.items()}
-
-        btv: dict = {}
-        many: dict = {}
-        zero: dict = {}
-        for i in nbrs:
-            for v_i in inst.dom(i):
-                r_i = rm[(i, v_i)]
-                # escape masks of (x_i, v_i), read off x_m's reverse rows
-                # (Lecoutre & Vion, CPL 2008): per neighbour j, the values
-                # compatible with v_i whose row to x_m has a value outside
-                # r_i (e) and those whose row misses a value of r_i (d).
-                # The folds stay lazy until e and d are built
-                outside = repeat(0)
-                inside = repeat(-1)
-                for u, col in mcols.items():
-                    if not (r_i >> u) & 1:
-                        outside = map(or_, outside, col)
-                    elif out_of_row:
-                        inside = map(and_, inside, col)
-                rows = [inst.row(i, j, v_i) if j != i else 0 for j in nbrs]
-                e = list(map(and_, rows, outside))
-                if out_of_row:
-                    d = list(map(and_, rows, map(invert, inside)))
-                # an apex u in r_i is completed through a v_j escaping
-                # v_i that u forbids, one outside r_i through a v_j
-                # escaped by v_i that u allows
-                mn = zr = 0
-                for u, col in mcols.items():
-                    if (r_i >> u) & 1:
-                        s = set(compress(nbrs, map(and_, e, ncols[u])))
-                    elif out_of_row:
-                        s = set(compress(nbrs, map(and_, d, col)))
-                    else:
-                        continue
-                    if not s:
-                        zr |= 1 << u
-                        continue
-                    if len(s) > 1:
-                        mn |= 1 << u
-                    btv[(i, v_i, u)] = s
-                if out_of_row:
-                    many[(i, v_i)] = mn
-                zero[(i, v_i)] = zr
-
-        st = self.st[m] = {"rm": rm, "btv": btv, "many": many, "zero": zero}
-        self.watch(m, m, self.scan(inst, self.eliminated, st, nbrs), "init")
+        for m in inst.variables:
+            nbrs = inst.neighbors(m)
+            # rows to and from x_m, each read once
+            st = self.st[m] = {
+                "rm": {(t, v): inst.row(t, m, v)
+                       for t in nbrs for v in inst.dom(t)},
+                "mcols": {u: [inst.row(m, t, u) for t in nbrs]
+                          for u in inst.dom(m)},
+                "btv": {}, "many": {}, "zero": {}}
+            self.watch(m, m, self.scan(inst, gone, st, nbrs), "init")
 
     def propagate(self, var: int, neighbors: list) -> None:
         del self.st[var]
+        audit = self.audit
         for m in neighbors:
             st = self.st[m]
-            btv = st["btv"]
-            dead = []
-            for key, s in btv.items():
+            btv, many, zero = st["btv"], st["many"], st["zero"]
+            # only the entries built so far are walked
+            for key, s in list(btv.items()):
                 if key[0] == var:
-                    dead.append(key)
-                    continue
-                if var not in s:
-                    continue
-                s.discard(var)
-                i, v_i, u = key
-                if not s:
-                    if self.audit is not None:
-                        self.audit.branch_fires[("deg-zero", (m,) + key)] += 1
-                    st["zero"][(i, v_i)] |= 1 << u
-                    dead.append(key)
-                elif len(s) == 1 and self.out_of_row:
-                    if self.audit is not None:
-                        self.audit.branch_fires[("deg-one", (m,) + key)] += 1
-                    st["many"][(i, v_i)] &= ~(1 << u)
-            for key in dead:
-                del btv[key]
+                    del btv[key]
+                elif var in s:
+                    s.discard(var)
+                    i, v_i, u = key
+                    if not s:
+                        if audit is not None:
+                            audit.branch_fires[("deg-zero", (m,) + key)] += 1
+                        zero[(i, v_i)] |= 1 << u
+                        del btv[key]
+                    elif len(s) == 1 and self.out_of_row:
+                        if audit is not None:
+                            audit.branch_fires[("deg-one", (m,) + key)] += 1
+                        many[(i, v_i)] &= ~(1 << u)
             self.resume(m)
 
 
-def _fails(st: dict, i: int, v_i: int, j: int, v_j: int) -> bool:
+def zero_mask(inst, gone: set, st: dict, nbrs: list, i: int, v_i: int,
+              out_of_row: bool) -> int:
+    """The `zero` mask of (x_i, v_i) in x_m's table; on the first read
+    the entry is built from the instance as it stands."""
+    zr = st["zero"].get((i, v_i))
+    if zr is not None:
+        return zr
+    mcols, r_i = st["mcols"], st["rm"][(i, v_i)]
+    # escape masks of (x_i, v_i) off x_m's reverse rows (Lecoutre & Vion,
+    # CPL 2008): per live neighbour j, the values compatible with v_i
+    # whose row to x_m has a value outside r_i (e) or misses one of r_i (d)
+    outside, inside = repeat(0), repeat(-1)
+    for u, col in mcols.items():
+        if not (r_i >> u) & 1:
+            outside = map(or_, outside, col)
+        elif out_of_row:
+            inside = map(and_, inside, col)
+    rows = [inst.row(i, j, v_i) if j != i and j not in gone else 0
+            for j in nbrs]
+    e = list(map(and_, rows, outside))
+    if out_of_row:
+        d = list(map(and_, rows, map(invert, inside)))
+    # an apex u in r_i is completed through a v_j escaping v_i that u
+    # forbids, one outside r_i through a v_j escaped by v_i that u allows
+    mn = zr = 0
+    for u, col in mcols.items():
+        if (r_i >> u) & 1:
+            s = set(compress(nbrs, map(and_, e, map(invert, col))))
+        elif out_of_row:
+            s = set(compress(nbrs, map(and_, d, col)))
+        else:
+            continue
+        zr |= (not s) << u
+        mn |= (len(s) > 1) << u
+        if s:
+            st["btv"][(i, v_i, u)] = s
+    if out_of_row:
+        st["many"][(i, v_i)] = mn
+    st["zero"][(i, v_i)] = zr
+    return zr
+
+
+def _fails(inst, gone: set, st: dict, nbrs: list,
+           i: int, v_i: int, j: int, v_j: int) -> bool:
     """Does the base pair (i, v_i, j, v_j) have neither a degree-free
     extension nor a 3-safe one?  With r the rows to x_m and c their
     common apexes: no u in c has degree zero on either side, and either
     c is empty or each side has an apex escaping the other whose degree
     on the other's side is above one.  Once false it stays false."""
-    rm, many, zero = st["rm"], st["many"], st["zero"]
-    r_i, r_j = rm[(i, v_i)], rm[(j, v_j)]
+    r_i, r_j = st["rm"][(i, v_i)], st["rm"][(j, v_j)]
     c = r_i & r_j
-    if c & (zero[(i, v_i)] | zero[(j, v_j)]):
+    if not c:
+        return True
+    if (c & zero_mask(inst, gone, st, nbrs, i, v_i, True)
+            or c & zero_mask(inst, gone, st, nbrs, j, v_j, True)):
         return False
-    return not c or bool(r_i & ~r_j & many[(j, v_j)]
-                         and r_j & ~r_i & many[(i, v_i)])
+    many = st["many"]
+    return bool(r_i & ~r_j & many[(j, v_j)] and r_j & ~r_i & many[(i, v_i)])
 
 
 def _failing_pairs(inst, gone: set, st: dict, nbrs: list):
@@ -154,7 +151,7 @@ def _failing_pairs(inst, gone: set, st: dict, nbrs: list):
         for v_i in inst.dom(i):
             for v_j in iter_bits(inst.row(i, j, v_i)):
                 while (i not in gone and j not in gone
-                       and _fails(st, i, v_i, j, v_j)):
+                       and _fails(inst, gone, st, nbrs, i, v_i, j, v_j)):
                     yield i, v_i, j, v_j
 
 

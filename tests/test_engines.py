@@ -16,6 +16,7 @@ from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
                      random_instance, run_engine)
 from cspelim.engines import EngineAudit
 from cspelim.engines.triangle import TriangleEngine
+from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
 from cspelim.patterns import checker_accepts, justifies
 from conftest import (random_tree_instance, small_random, star_instance,
@@ -153,6 +154,52 @@ def test_engines_match_reference_on_denser_instances():
         assert branches[rule] <= fired, rule
 
 
+def d9_and_dense_cases():
+    """The d = 9 sparse cases after AC, then the n = 7 dense seeds (None
+    where AC wipes out)."""
+    cases = []
+    for seed, n in enumerate((14, 16, 18, 20)):
+        ac, _, ok = enforce_ac(
+            random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
+        assert ok, seed
+        cases.append(ac)
+    return cases + [ac_instance(seed, n=7, d=4, p1=0.7, p2=0.3)
+                    for seed in range(20)]
+
+
+def run_checking_every_step(monkeypatch, rule, cases, check) -> int:
+    """Run `rule`'s engine on each case, every other one after singleton
+    removal, calling check(engine) after initialisation and after each
+    elimination, once the variable is gone.  Returns the number of runs."""
+    engines = []
+    cls = ENGINES[rule]
+    initialise = cls.initialise
+    eliminate = engine_base.eliminate_variable
+
+    def initialise_then_check(self):
+        initialise(self)
+        engines.append(self)
+        check(self)
+
+    def eliminate_then_check(inst, i):
+        result = eliminate(inst, i)
+        check(engines[-1])
+        return result
+
+    monkeypatch.setattr(cls, "initialise", initialise_then_check)
+    monkeypatch.setattr(engine_base, "eliminate_variable",
+                        eliminate_then_check)
+    runs = 0
+    for k, ac in enumerate(cases):
+        if ac is None:
+            continue
+        if k % 2:
+            ac, _ = eliminate_singletons(ac)
+        run_engine(ac, rule)
+        runs += 1
+    return runs
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     """For every live x_i, not only the smallest one the queue consults,
@@ -161,11 +208,9 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     instance stands once the variable is gone.  For triangle that scan
     is keyed by a live justifier.  This shows that `propagate` resumes
     every scan an elimination can move."""
-    engines = []
     compared = [0]
 
-    def compare():
-        engine = engines[-1]
+    def compare(engine):
         inst, gone = engine.inst, engine.eliminated
         if inst.n < MIN_LIVE[rule]:
             return
@@ -179,45 +224,75 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
                                  is not None), i
             compared[0] += 1
 
-    cls = ENGINES[rule]
-    initialise = cls.initialise
-    eliminate = engine_base.eliminate_variable
-
-    def initialise_then_compare(self):
-        initialise(self)
-        engines.append(self)
-        compare()
-
-    def eliminate_then_compare(inst, i):
-        result = eliminate(inst, i)
-        compare()
-        return result
-
-    monkeypatch.setattr(cls, "initialise", initialise_then_compare)
-    monkeypatch.setattr(engine_base, "eliminate_variable",
-                        eliminate_then_compare)
-    cases = []
-    for seed, n in enumerate((14, 16, 18, 20)):
-        ac, _, ok = enforce_ac(
-            random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
-        assert ok, seed
-        cases.append(ac)
-    cases += [ac_instance(seed, n=7, d=4, p1=0.7, p2=0.3)
-              for seed in range(20)]
+    cases = d9_and_dense_cases()
     if rule != "bt-degree":
         # bt-degree's checker is too slow for thousands more comparisons
         cases += [ac for label, ac in structured_ac_instances()
                   if label[2] == 20]
-    runs = 0
-    for k, ac in enumerate(cases):
-        if ac is None:
-            continue
-        if k % 2:
-            ac, _ = eliminate_singletons(ac)
-        run_engine(ac, rule)
-        runs += 1
+    runs = run_checking_every_step(monkeypatch, rule, cases, compare)
     assert runs >= 15, runs
     assert compared[0] > (500 if rule == "bt-degree" else 5000), compared[0]
+
+
+def scratch_entry(inst, m, i, v_i, out_of_row):
+    """The broken-triangle entry of (x_i, v_i) at x_m from the definition:
+    per apex u (only those in r_i unless `out_of_row`), the neighbours x_j
+    of x_m with a v_j compatible with v_i that completes a broken
+    triangle with u, and the masks of the apexes with more than one such
+    x_j (`many`) and none (`zero`)."""
+    r_i = inst.row(i, m, v_i)
+    sets = {}
+    for u in inst.dom(m):
+        inside = (r_i >> u) & 1
+        if not (inside or out_of_row):
+            continue
+        sets[u] = set()
+        for j in inst.neighbors(m):
+            for v_j in iter_bits(inst.row(i, j, v_i)) if j != i else ():
+                r_j = inst.row(j, m, v_j)
+                if inside:  # v_j forbids u and allows a u' v_i forbids
+                    broken = not (r_j >> u) & 1 and r_j & ~r_i
+                else:  # v_j allows u and forbids a u' v_i allows
+                    broken = (r_j >> u) & 1 and r_i & ~r_j
+                if broken:
+                    sets[u].add(j)
+    many = sum(1 << u for u, s in sets.items() if len(s) > 1)
+    zero = sum(1 << u for u, s in sets.items() if not s)
+    return sets, many, zero
+
+
+@pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
+def test_lazy_broken_triangle_entries_are_exact(monkeypatch, rule):
+    """After initialisation and after each elimination, every entry built
+    so far at every live x_m, however late and however many eliminations
+    `propagate` has applied to it since, equals the entry built from
+    scratch on the instance as it stands: its sets, `many` and `zero`."""
+    compared = [0]
+
+    def compare(engine):
+        inst, gone = engine.inst, engine.eliminated
+        for m in inst.variables:
+            st = engine.st[m]
+            assert all(key[0] not in gone for key in st["btv"]), m
+            for (i, v_i), zero in st["zero"].items():
+                if i in gone:
+                    continue
+                sets, many, want = scratch_entry(inst, m, i, v_i,
+                                                 engine.out_of_row)
+                assert zero == want, (m, i, v_i)
+                if engine.out_of_row:
+                    assert st["many"][(i, v_i)] == many, (m, i, v_i)
+                for u, s in sets.items():
+                    assert st["btv"].get((i, v_i, u), set()) == s, \
+                        (m, i, v_i, u)
+                compared[0] += 1
+            assert all(s and (key[0], key[1]) in st["zero"]
+                       for key, s in st["btv"].items()), m
+
+    runs = run_checking_every_step(monkeypatch, rule, d9_and_dense_cases(),
+                                   compare)
+    assert runs >= 15, runs
+    assert compared[0] > 1000, compared[0]
 
 
 # per extension rule: the module and name of its failing-item predicate
@@ -244,6 +319,27 @@ def test_bt_degree_scan_stops_at_the_first_failing_pair(monkeypatch, rule):
     assert ok
     run_engine(ac, rule)
     assert calls[0] <= 4 * ac.n, calls[0]
+
+
+@pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
+def test_broken_triangle_entries_are_built_on_first_read(monkeypatch, rule):
+    """Scans stop at their first failing item, so they read few entries
+    of the broken-triangle table, and only those are built: the eager
+    table on this instance has 3,880."""
+    module = PREDICATES[rule][0]
+    built = [0]
+    zero_mask = module.zero_mask
+
+    def counted(inst, gone, st, nbrs, i, v_i, out_of_row):
+        built[0] += (i, v_i) not in st["zero"]
+        return zero_mask(inst, gone, st, nbrs, i, v_i, out_of_row)
+
+    monkeypatch.setattr(module, "zero_mask", counted)
+    ac, _, ok = enforce_ac(
+        random_instance(GeneratorConfig(40, 10, 0.25, 0.35, 7)))
+    assert ok
+    run_engine(ac, rule)
+    assert 0 < built[0] <= 4 * ac.n, built[0]
 
 
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
