@@ -106,6 +106,12 @@ class Instance:
                 raise ValueError("value %d not in domain of variable %d" % (b, j))
             fwd[index_i[a]] |= 1 << index_j[b]
             rev[index_j[b]] |= 1 << index_i[a]
+        self._store_relation(i, j, fwd, rev)
+
+    def _store_relation(self, i: int, j: int,
+                        fwd: list[int], rev: list[int]) -> None:
+        """Store checked rows of a new constraint: fwd[v] is the mask over
+        D(x_j) allowed with x_i = v, rev the same from x_j's side."""
         self._rows[(i, j)] = fwd
         self._rows[(j, i)] = rev
         self._adj[i].add(j)
@@ -287,22 +293,25 @@ def parse_instance(text: str) -> Instance:
         <a> <b>            (t allowed pairs)
         end
 
-    Full lines starting with '#' are comments.  Declared pairs not listed
-    are forbidden; undeclared variable pairs are complete.
+    Tokens are separated by whitespace.  Blank lines, and lines whose
+    first non-blank character is '#', are skipped; a '#' after a token
+    is not a comment.  Declared pairs not listed are forbidden;
+    undeclared variable pairs are complete.  Nothing after 'end' is read.
     """
     lines = text.splitlines()
+    body = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    # the line number of each line in body
+    where = (range(1, len(body) + 1) if len(body) == len(lines) else
+             [k for k, s in enumerate(map(str.strip, lines), 1)
+              if s and s[0] != "#"])
     pos = 0
 
     def next_tokens() -> tuple[int, list[str]]:
         nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            return pos, stripped.split()
-        raise FormatError("unexpected end of input", len(lines))
+        if pos == len(body):
+            raise FormatError("unexpected end of input", len(lines))
+        pos += 1
+        return where[pos - 1], body[pos - 1].split()
 
     def ints(tokens: list[str], lineno: int) -> list[int]:
         try:
@@ -342,6 +351,13 @@ def parse_instance(text: str) -> Instance:
         domains[i] = rest
 
     inst = Instance.build([domains[i] for i in range(n)])
+    # One lookup table per pair of distinct domains maps the canonical
+    # spelling "a b" of a pair to its internal (pa, pb).  All tables
+    # together hold no more entries than the text has lines, so wide
+    # domains with few allowed pairs cost no more than reading them.
+    names = inst._values
+    tables: dict[tuple[tuple[int, ...], ...], dict[str, tuple[int, int]]] = {}
+    budget = len(body)
 
     while True:
         lineno, tok = next_tokens()
@@ -359,18 +375,58 @@ def parse_instance(text: str) -> Instance:
             raise FormatError("self constraint on variable %d" % i, lineno)
         if t < 0:
             raise FormatError("negative pair count", lineno)
+        rows = None
+        if pos + t <= len(body) and (i, j) not in inst._rows:
+            key = (tuple(names[i]), tuple(names[j]))
+            table = tables.get(key)
+            size = len(names[i]) * len(names[j])
+            if table is None and size <= budget:
+                budget -= size
+                table = tables[key] = {
+                    "%d %d" % (a, b): (pa, pb)
+                    for pa, a in enumerate(names[i])
+                    for pb, b in enumerate(names[j])}
+            if table is not None:
+                rows = _canonical_rows(body[pos:pos + t], table,
+                                       len(names[i]), len(names[j]))
+        if rows is not None:
+            pos += t
+            inst._store_relation(i, j, *rows)
+            continue
         allowed = []
-        for _ in range(t):
-            lineno2, ptok = next_tokens()
-            pair = ints(ptok, lineno2)
-            if len(pair) != 2:
-                raise FormatError("expected '<a> <b>' pair", lineno2)
-            allowed.append((pair[0], pair[1]))
+        for k in range(pos, min(pos + t, len(body))):
+            ptok = body[k].split()
+            try:
+                a, b = map(int, ptok)
+            except ValueError:
+                ints(ptok, where[k])  # a bad token is reported first
+                raise FormatError("expected '<a> <b>' pair", where[k]) from None
+            allowed.append((a, b))
+        pos += t
+        if pos > len(body):
+            raise FormatError("unexpected end of input", len(lines))
         try:
             inst._add_relation(i, j, allowed)
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
     return inst
+
+
+def _canonical_rows(block: list[str], table: dict[str, tuple[int, int]],
+                    size_i: int, size_j: int):
+    """The (fwd, rev) bit rows of a block of pair lines, each looked up
+    in `table` ("a b" -> internal (pa, pb)); None when a line is not
+    there, which leaves the block to the general reading."""
+    fwd = [0] * size_i
+    rev = [0] * size_j
+    try:
+        for line in block:
+            pa, pb = table[line]
+            fwd[pa] |= 1 << pb
+            rev[pb] |= 1 << pa
+    except KeyError:
+        return None
+    return fwd, rev
 
 
 def load_instance(source: Source) -> Instance:
@@ -383,7 +439,10 @@ def format_instance(inst: Instance) -> str:
     """Serialize an instance; renumbers variables to 0..n-1 if needed.
 
     When renumbering happens a '# source-vars:' comment records the
-    original indices in new-index order.
+    original indices in new-index order.  Pairs are written straight from
+    the bit rows, in ascending order of external names: ``build`` sorts
+    each domain's names, so internal value order is name order, and both
+    the live domain and the bits of a row are read in ascending order.
     """
     live = list(inst.variables)
     renum = {old: new for new, old in enumerate(live)}
@@ -392,15 +451,23 @@ def format_instance(inst: Instance) -> str:
         out.write("# source-vars: %s\n" % " ".join(str(v) for v in live))
     out.write("BCSP 1\n")
     out.write("vars %d\n" % len(live))
+    spelled = {}
     for old in live:
         names = inst.value_names(old)
         out.write("dom %d %d %s\n" % (renum[old], len(names),
                                       " ".join(str(v) for v in names)))
+        spelled[old] = ["%d" % v for v in inst._values[old]]
     for i, j in inst.pairs():
-        allowed = sorted(inst._relation_names(i, j))
+        rows = inst._rows[(i, j)]
+        mask = inst._mask[j]
+        names_i, names_j = spelled[i], spelled[j]
+        allowed = []
+        for v in inst._dom[i]:
+            prefix = names_i[v] + " "
+            allowed.extend(prefix + names_j[w] for w in iter_bits(rows[v] & mask))
         out.write("con %d %d %d\n" % (renum[i], renum[j], len(allowed)))
-        for a, b in allowed:
-            out.write("%d %d\n" % (a, b))
+        for line in allowed:
+            out.write(line + "\n")
     out.write("end\n")
     return out.getvalue()
 

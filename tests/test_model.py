@@ -1,15 +1,22 @@
 """Instance representation, file format, and low-level accessors."""
 
 import gc
+import hashlib
 import io
+import os
 import random
+import sys
+import tracemalloc
 import warnings
 
 import pytest
 
 from cspelim import (FormatError, Instance, format_instance,
                      iter_bits, load_instance, parse_instance, save_instance)
-from conftest import broken_tetrahedron_instance, small_random, star_instance
+from conftest import (broken_tetrahedron_instance, small_random,
+                      star_instance, structured_families)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_build_renumbers_and_keeps_names():
@@ -106,6 +113,18 @@ def test_semantic_equality_and_canonical_key():
     assert a.canonical_key() != c.canonical_key()
 
 
+def bench_workload_texts():
+    """The instance files of the benchmark's `mid` and `large-sparse`
+    workloads at seeds 0-2, as `bench/gen.py` writes them."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import run
+    finally:
+        sys.path.pop(0)
+    return [case.text for name in ("mid", "large-sparse")
+            for seed in range(3) for case in run.WORKLOADS[name](seed)]
+
+
 def test_format_parse_round_trip():
     inst = broken_tetrahedron_instance()
     text = format_instance(inst)
@@ -114,6 +133,11 @@ def test_format_parse_round_trip():
     # round-trip again through a file object
     again = parse_instance(io.StringIO(format_instance(back)).read())
     assert again == inst
+    # canonical text comes back byte for byte
+    texts = bench_workload_texts()
+    assert len(texts) == 3 * (32 + 8)
+    for text in [format_instance(inst)] + texts:
+        assert format_instance(parse_instance(text)) == text
 
 
 def test_load_instance_closes_the_file(tmp_path):
@@ -126,10 +150,42 @@ def test_load_instance_closes_the_file(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def renamed(inst: Instance, names: list) -> Instance:
+    """A copy of `inst` whose value v is named names[v]."""
+    domains = [[names[v] for v in inst.dom(i)] for i in inst.variables]
+    constraints = {(i, j): [(names[v], names[w])
+                            for v in inst.dom(i) for w in inst.dom(j)
+                            if inst.compatible(i, v, j, w)]
+                   for i, j in inst.pairs()}
+    return Instance.build(domains, constraints)
+
+
 def test_round_trip_random_instances():
     for seed in range(25):
         inst = small_random(seed)
         assert parse_instance(format_instance(inst)) == inst
+    # unsorted, non-contiguous value names; deleted values and a removed
+    # variable (which writes a '# source-vars:' header)
+    names = [40, 7, 2, 19, 0, 33, 5, 12, 88, 3, 61, 25]
+    rng = random.Random(3)
+    cases = 0
+    for seed in range(2):
+        for inst in structured_families(seed, 12, d=12).values():
+            inst = renamed(inst, names)
+            for _ in range(3):
+                assert parse_instance(format_instance(inst)) == inst
+                i = rng.choice(inst.variables)
+                inst.delete_value(i, rng.choice(inst.dom(i)))
+            text = format_instance(inst)
+            assert parse_instance(text) == inst
+            inst.remove_variable(rng.choice(inst.variables[:-1]))
+            text = format_instance(inst)
+            assert text.startswith("# source-vars: ")
+            back = parse_instance(text)
+            assert format_instance(back) == text.split("\n", 1)[1]
+            assert back.e == inst.e and back.n == inst.n
+            cases += 1
+    assert cases == 10
 
 
 def test_format_renumbers_after_removal():
@@ -168,6 +224,22 @@ def test_parse_reports_line_numbers():
     assert str(err.value) == "line 4: negative value in domain of variable 1"
 
 
+def test_parse_memory_stays_linear_in_the_text():
+    """Wide domains with a short constraint block: the parse builds no
+    lookup table larger than the text."""
+    wide = list(range(0, 900, 3))
+    text = format_instance(Instance.build([wide, wide],
+                                          {(0, 1): [(3, 6), (9, 0)]}))
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert format_instance(inst) == text
+    assert peak < 1_000_000, peak
+
+
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b1011)) == [0, 1, 3]
@@ -176,3 +248,134 @@ def test_iter_bits():
         bits = sorted(rng.sample(range(40), rng.randrange(8)))
         mask = sum(1 << b for b in bits)
         assert list(iter_bits(mask)) == bits
+
+
+FUZZ_TOKENS = ("0", "1", "2", "9", "-1", "+1", "01", "x", "#", "con",
+               "end", "0 0", "\t", "")
+FUZZ_LINES = ("", "   ", "# note", "0 0", "0\t1", "1  0", "+1 01",
+              "con 0 1 1", "con 1 0 2", "end", "dom 0 1 0", "0 7")
+
+
+def fuzz_mutants(count: int = 3000):
+    """`count` seeded one-line mutations (delete, insert, swap, append a
+    token, replace a token) of formatted `small_random` and
+    `structured_families` instances."""
+    rng = random.Random("parse-fuzz")
+    sources = [format_instance(small_random(seed, n=5, d=2)) for seed in range(8)]
+    sources += [format_instance(inst) for seed in range(2)
+                for inst in structured_families(seed, 6).values()]
+    for _ in range(count):
+        lines = rng.choice(sources).split("\n")
+        k = rng.randrange(len(lines))
+        op = rng.randrange(5)
+        if op == 0:
+            del lines[k]
+        elif op == 1:
+            m = rng.randrange(len(lines))
+            lines[k:k] = (lines[m:m + rng.randrange(1, 4)]
+                          if rng.random() < 0.5 else [rng.choice(FUZZ_LINES)])
+        elif op == 2:
+            m = rng.randrange(len(lines))
+            lines[k], lines[m] = lines[m], lines[k]
+        elif op == 3:
+            lines[k] += rng.choice((" ", "\t", "  ")) + rng.choice(FUZZ_TOKENS)
+        else:
+            tokens = lines[k].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[k] = " ".join(tokens)
+        yield "\n".join(lines)
+
+
+# sha256 prefix of every fuzz outcome, recorded before the parser and the
+# formatter were rewritten to read and write bit rows directly.
+FUZZ_DIGEST = "850e934fd3d0f92c"
+
+
+def test_parse_fuzz_outcomes_match_pinned_digest():
+    """Every mutant parses to an instance or raises FormatError, and the
+    outcomes (the formatted instance, or the error text with its line
+    number) hash to the pinned digest."""
+    digest = hashlib.sha256()
+    parsed = 0
+    for text in fuzz_mutants():
+        try:
+            outcome = format_instance(parse_instance(text))
+            parsed += 1
+        except FormatError as exc:
+            outcome = "error: %s" % exc
+        digest.update(outcome.encode() + b"\0")
+    assert 500 < parsed < 2500
+    assert digest.hexdigest()[:16] == FUZZ_DIGEST, digest.hexdigest()
+
+
+def test_readme_instance_example_parses():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Instance files", 1)[1]
+    block = section.split("```\n", 2)[1]
+    inst = parse_instance(block)
+    assert (inst.n, inst.e) == (3, 1)
+    assert inst.value_names(2) == [0, 1, 2]
+    assert inst.compatible(1, 1, 2, 2)
+    assert not inst.compatible(1, 1, 2, 1)
+
+
+SPELLING_BASE = """BCSP 1
+vars 3
+dom 0 2 0 1
+dom 1 3 0 1 2
+dom 2 2 5 9
+con 0 1 3
+0 0
+0 2
+1 1
+con 1 2 2
+0 5
+2 9
+end
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("0 2\n1 1\n", "0\t2\n1   1\n"),
+    ("0 0\n0 2\n", "  0 0 \n0 \t 2\n"),
+    ("1 1\n", "+1 01\n"),
+    ("0 2\n", "0 2\n\n# comment inside a block\n   \n"),
+    ("0 0\n0 2\n1 1\n", "1 1\n0 0\n0 2\n"),
+    ("0 5\n2 9\n", "2 9\n0 5\n"),
+    ("\n", "\r\n"),
+])
+def test_parse_accepts_any_spelling_inside_a_block(old, new):
+    want = parse_instance(SPELLING_BASE)
+    assert format_instance(want) == SPELLING_BASE
+    text = SPELLING_BASE.replace(old, new)
+    assert text != SPELLING_BASE
+    assert parse_instance(text) == want
+    assert format_instance(parse_instance(text)) == SPELLING_BASE
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("1 1\n", "1 1 0\n", "line 9: expected '<a> <b>' pair"),
+    ("1 1\n", "1\n", "line 9: expected '<a> <b>' pair"),
+    ("1 1\n", "1 x\n", "line 9: expected integers, got '1 x'"),
+    ("1 1\n", "1 7\n", "line 6: value 7 not in domain of variable 1"),
+    ("2 9\n", "3 9\n", "line 10: value 3 not in domain of variable 1"),
+    ("0 0\n", "0 9\n", "line 6: value 9 not in domain of variable 1"),
+    ("con 1 2 2\n", "con 1 0 2\n",
+     "line 10: duplicate constraint (0,1)"),
+    ("con 1 2 2\n0 5\n", "con 0 1 2\n0 7\n",
+     "line 10: duplicate constraint (0,1)"),
+    ("0 0\n0 2\n1 1\n", "0 7\n0 2\n1\n",
+     "line 9: expected '<a> <b>' pair"),
+    ("con 1 2 2\n0 5\n2 9\n", "con 0 1 2\n0 0\n0 1 1\n",
+     "line 12: expected '<a> <b>' pair"),
+    ("con 1 2 2\n", "con 1 2 4\n",
+     "line 13: expected integers, got 'end'"),
+    ("2 9\nend\n", "2 9\n", "line 12: unexpected end of input"),
+])
+def test_parse_block_errors_keep_their_message_and_line(old, new, message):
+    text = SPELLING_BASE.replace(old, new)
+    assert text != SPELLING_BASE
+    with pytest.raises(FormatError) as err:
+        parse_instance(text)
+    assert str(err.value) == message
