@@ -22,7 +22,7 @@ from .consistency import eliminate_singletons, enforce_ac
 from .engines import run_engine
 from .model import load_instance, open_text, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
-                     naive_fixpoint, verify_one)
+                     verify_one)
 from .patterns import RULES, checker_accepts
 from .solver import (SearchConfig, TimeBudgetExceeded, mac_solve,
                      solve_with_preprocessing)
@@ -77,29 +77,30 @@ def _write_lines(path, lines) -> None:
 # preprocess
 
 
-def cmd_preprocess(args) -> int:
-    inst = load_instance(args.input)
+def _reduce(inst, rule: str, ns: bool = False):
+    """Arc consistency, singleton removal, then `rule`'s engine to
+    fixpoint.  Returns (reduced instance, AC log, trace entries, sat
+    flag, stage times)."""
+    times = {"ac": 0.0, "singletons": 0.0, "engine": 0.0}
     t0 = time.perf_counter()
     cur, ac_log, ok = enforce_ac(inst)
-    t_ac = time.perf_counter() - t0
+    times["ac"] = time.perf_counter() - t0
     entries = []
-    times = {"ac": t_ac, "singletons": 0.0, "engine": 0.0}
     if ok:
         t1 = time.perf_counter()
-        cur, singleton_entries = eliminate_singletons(cur)
-        entries.extend(singleton_entries)
+        cur, entries = eliminate_singletons(cur)
         times["singletons"] = time.perf_counter() - t1
         if not cur.wiped:
             t2 = time.perf_counter()
-            if args.ns:
-                cur, rule_entries = naive_fixpoint(cur, args.rule,
-                                                  ns_interleave=True)
-            else:
-                cur, rule_entries = run_engine(cur, args.rule)
-            entries.extend(rule_entries)
+            cur, rule_entries = run_engine(cur, rule, ns=ns)
+            entries += rule_entries
             times["engine"] = time.perf_counter() - t2
-    unsat = not ok or cur.wiped
+    return cur, ac_log, entries, ok and not cur.wiped, times
 
+
+def cmd_preprocess(args) -> int:
+    inst = load_instance(args.input)
+    cur, ac_log, entries, sat, times = _reduce(inst, args.rule, args.ns)
     if args.out:
         save_instance(cur, args.out)
     if args.trace:
@@ -111,11 +112,11 @@ def cmd_preprocess(args) -> int:
     report = RunReport(instance=args.input, rule=args.rule,
                        vars_before=inst.n, vars_after=cur.n,
                        values_deleted=deleted, eliminations=dict(counts),
-                       times=times, verdict="unsat" if unsat else "reduced")
+                       times=times, verdict="reduced" if sat else "unsat")
     report.validate()
     for line in report.lines():
         print(line)
-    return EXIT_UNSAT if unsat else EXIT_OK
+    return EXIT_OK if sat else EXIT_UNSAT
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +200,7 @@ def cmd_compare(args) -> int:
                 eliminated = [i for i in inst.variables
                               if checker_accepts(inst, rule, i) is not None]
             else:
-                cur, _, ok = enforce_ac(inst)
-                entries = []
-                if ok:
-                    cur, singleton_entries = eliminate_singletons(cur)
-                    entries.extend(singleton_entries)
-                    if not cur.wiped:
-                        cur, rule_entries = run_engine(cur, rule)
-                        entries.extend(rule_entries)
+                entries = _reduce(inst, rule)[2]
                 eliminated = [entry.var for entry in entries]
             pct = 100.0 * len(eliminated) / inst.n if inst.n else 0.0
             rows.append((path, rule, inst.n, len(eliminated), "%.1f" % pct,
@@ -240,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the elimination trace here")
     p.add_argument("--ns", action="store_true",
                    help="interleave neighbourhood substitution after each "
-                        "elimination (uses the reference fixpoint)")
+                        "elimination")
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("solve", help="preprocess then run MAC with restarts")

@@ -22,12 +22,12 @@ ENGINES = {
 }
 
 
-def run_engine(inst: Instance, rule: str, audit: EngineAudit | None = None):
+def run_engine(inst: Instance, rule: str, audit=None, ns: bool = False):
     """Run the incremental engine for `rule` on a copy of `inst` and
     return (reduced instance, trace entries).  The input must be arc
-    consistent with no empty domain; engines never delete values."""
+    consistent with no empty domain; only `ns` deletes values."""
     if rule not in ENGINES:
         raise ValueError("unknown rule %r" % rule)
     check_engine_precondition(inst)
     engine = ENGINES[rule](inst.copy(), audit)
-    return engine.run()
+    return engine.run(ns)

@@ -16,15 +16,22 @@ alive until the cycle collector runs.
 Candidates sit in a min-priority queue on variable index, so the engine
 eliminates the same variable the naive smallest-index rescan would;
 with exact scans the produced traces coincide with the naive fixpoint's.
+
+With `ns`, neighbourhood substitution (Cooper, AIJ 1997) follows each
+elimination, and a pass that deletes values restarts the engine.  Exact:
+the tables are a function of the live instance; NS keeps it arc
+consistent, as the dominating value has every support of the deleted
+one; and `run`'s support-deletion guard still checks that premise.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from dataclasses import replace
 
 from ..consistency import (NotArcConsistentError, eliminate_variable,
-                           is_arc_consistent)
+                           is_arc_consistent, ns_fixpoint)
 from ..model import Instance
 from ..patterns import MIN_LIVE, checker_accepts
 from ..trace import TraceEntry, make_entry
@@ -54,11 +61,13 @@ class Engine:
     def __init__(self, inst: Instance, audit: EngineAudit | None = None):
         self.inst = inst
         self.audit = audit
-        self._heap: list[int] = []
-        self._queued: set[int] = set()
         self.eliminated: set[int] = set()
+
+    def _start(self) -> None:
+        self._heap, self._queued = [], set()
         # i -> {key: [scan, watched item], or None once the scan ran out}
-        self.scans: dict = {i: {} for i in inst.variables}
+        self.scans: dict = {i: {} for i in self.inst.variables}
+        self.initialise()
 
     # -- queue -------------------------------------------------------
 
@@ -116,8 +125,8 @@ class Engine:
 
     # -- main loop ---------------------------------------------------
 
-    def run(self) -> tuple[Instance, list[TraceEntry]]:
-        self.initialise()
+    def run(self, ns: bool = False) -> tuple[Instance, list[TraceEntry]]:
+        self._start()
         entries: list[TraceEntry] = []
         min_live = MIN_LIVE[self.rule]
         while self.inst.n >= min_live:
@@ -145,6 +154,11 @@ class Engine:
                 raise AssertionError(
                     "support deletion during engine run: input was "
                     "not arc consistent")
+            reduced, log = ns_fixpoint(self.inst) if ns else (None, ())
+            if log:
+                entries[-1] = replace(entries[-1], deletions=tuple(log))
+                self.inst = reduced
+                self._start()
         return self.inst, entries
 
     # -- subclass API ------------------------------------------------

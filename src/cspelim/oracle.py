@@ -3,7 +3,9 @@ fixpoints, random instance generation, isomorphism testing, and the
 verification battery comparing engines against the naive semantics.
 
 Everything here favours obviousness over speed; size guards raise
-instead of silently truncating.
+instead of silently truncating.  `naive_fixpoint` is a reference only:
+it runs in `verify_one` and in tests, never on a production path, and
+keeps the full-scope definition that makes it one.
 """
 
 from __future__ import annotations
@@ -245,8 +247,7 @@ def are_isomorphic(a: Instance, b: Instance) -> bool:
 # elimination-order search
 
 
-def max_eliminations_by_order(inst: Instance, rule: str,
-                              ns_interleave: bool = False) -> int:
+def max_eliminations_by_order(inst: Instance, rule: str) -> int:
     """Maximum eliminations over every order of rule-valid choices
     (not just the greedy smallest-first order).  Memoized exhaustive
     search, guarded to n <= 7."""
@@ -265,8 +266,6 @@ def max_eliminations_by_order(inst: Instance, rule: str,
                 continue
             nxt = cur.copy()
             _, ok = eliminate_variable(nxt, i)
-            if ns_interleave:
-                nxt, _ = ns_fixpoint(nxt)
             score = 1 + (go(nxt) if ok else 0)
             if score > best:
                 best = score

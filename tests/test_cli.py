@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from cspelim import (brute_force_solve, checker_accepts, enforce_ac,
-                     is_solution, load_instance, parse_trace, save_instance)
+from cspelim import (brute_force_solve, checker_accepts, eliminate_singletons,
+                     enforce_ac, format_trace, is_solution, load_instance,
+                     naive_fixpoint, parse_trace, save_instance)
 from cspelim.cli import main
 from conftest import (broken_triangle_instance, clique_instance,
                       degree_gap_instance, small_random, star_instance)
@@ -84,13 +85,35 @@ def test_preprocess_writes_reduced_instance_and_trace(tmp_path, capsys):
         report["eliminations"].get("singleton", 0)
 
 
-def test_preprocess_ns_interleaving_runs(tmp_path, capsys):
-    path = write_instance(tmp_path, small_random(3, n=6, d=3, p2=0.4))
-    code = main(["preprocess", path, "--rule", "triangle", "--ns"])
-    assert code in (0, 20)
+def test_preprocess_ns_interleaving_runs(tmp_path, capsys, monkeypatch):
+    """`--ns` runs through the engine, and its trace (AC deletions,
+    singletons, eliminations with their NS deletions) is the reference
+    fixpoint's."""
+    import cspelim.oracle as oracle
+
+    path = write_instance(tmp_path, small_random(6, n=6, d=3, p2=0.4))
+    inst = load_instance(path)
+    ac, ac_log, ok = enforce_ac(inst)
+    reduced, singleton_entries = eliminate_singletons(ac)
+    _, entries = naive_fixpoint(reduced, "triangle", ns_interleave=True)
+    assert ok and ac_log and singleton_entries
+    assert any(e.deletions for e in entries)
+    expected = format_trace(singleton_entries + entries, inst,
+                            pre_deletions=ac_log)
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("preprocess --ns ran the reference fixpoint")
+
+    monkeypatch.setattr(oracle, "naive_fixpoint", no_reference)
+    trace = str(tmp_path / "ns.trace")
+    code = main(["preprocess", path, "--rule", "triangle", "--ns",
+                 "--trace", trace])
+    assert code == 0
     report = parse_report(capsys.readouterr().out)
     total = int(report["vars-after"]) + sum(report["eliminations"].values())
     assert total == int(report["vars-before"])
+    with open(trace, encoding="utf-8") as fh:
+        assert fh.read() == expected
 
 
 def test_solve_prints_verifiable_solution(tmp_path, capsys):

@@ -78,31 +78,55 @@ def test_triangle_respects_live_minimum(star):
     assert entries[0].var == 1
 
 
-def test_engines_match_reference_fixpoint():
+class NSRuns:
+    """Compares `run_engine` with the naive fixpoint, both with or both
+    without neighbourhood substitution after each elimination, and
+    counts the runs where NS deleted values (each restarts the engine)."""
+
+    def __init__(self, ns):
+        self.ns = ns
+        self.runs = self.deleting = 0
+
+    def check(self, ac, rule, label, audit=None):
+        ref_inst, ref_entries = naive_fixpoint(ac, rule, ns_interleave=self.ns)
+        eng_inst, eng_entries = run_engine(ac, rule, audit, ns=self.ns)
+        assert eng_inst == ref_inst, label
+        assert eng_entries == ref_entries, label
+        self.runs += 1
+        self.deleting += any(e.deletions for e in eng_entries)
+        return eng_entries
+
+    def assert_restarts_exercised(self):
+        if self.ns:
+            assert self.deleting > self.runs / 2, (self.deleting, self.runs)
+        else:
+            assert self.deleting == 0, self.deleting
+
+
+@pytest.mark.parametrize("ns", [False, True])
+def test_engines_match_reference_fixpoint(ns):
     checked = 0
+    runs = NSRuns(ns)
     for seed in range(150):
         ac = ac_instance(seed, n=6, d=3, p2=0.45)
         if ac is None:
             continue
         checked += 1
         for rule in RULES:
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule)
-            assert eng_inst == ref_inst, (seed, rule)
-            assert eng_entries == ref_entries, (seed, rule)
+            runs.check(ac, rule, (seed, rule))
     assert checked > 100
+    runs.assert_restarts_exercised()
 
 
-def test_engines_match_reference_on_denser_instances():
+@pytest.mark.parametrize("ns", [False, True])
+def test_engines_match_reference_on_denser_instances(ns):
+    runs = NSRuns(ns)
     for seed in range(40):
         ac = ac_instance(seed, n=7, d=4, p1=0.7, p2=0.3)
         if ac is None:
             continue
         for rule in RULES:
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule)
-            assert eng_inst == ref_inst, (seed, rule)
-            assert eng_entries == ref_entries, (seed, rule)
+            runs.check(ac, rule, (seed, rule))
     # trees after singleton removal: the live indices are non-contiguous
     # and run above 63, so the snake loss masks span several 64-bit words
     checked = 0
@@ -115,10 +139,7 @@ def test_engines_match_reference_on_denser_instances():
         assert live != tuple(range(ac.n)) and live[-1] > 63, seed
         checked += 1
         for rule in ("exists-snake", "de-snake"):
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule)
-            assert eng_inst == ref_inst, ("tree", seed, rule)
-            assert eng_entries == ref_entries, ("tree", seed, rule)
+            runs.check(ac, rule, ("tree", seed, rule))
     assert checked >= 3
     # sparse instances at n=20-30, every rule
     for seed, n in enumerate((20, 22, 24, 26, 28, 30)):
@@ -128,10 +149,7 @@ def test_engines_match_reference_on_denser_instances():
         ac, _ = eliminate_singletons(ac)
         assert ac.n >= 20, seed
         for rule in RULES:
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule)
-            assert eng_inst == ref_inst, ("sparse", seed, rule)
-            assert eng_entries == ref_entries, ("sparse", seed, rule)
+            runs.check(ac, rule, ("sparse", seed, rule))
     # d = 9, near the benchmark's d = 10: every engine's scans have to
     # advance, and every table-update branch of the broken-triangle
     # table has to fire, in each rule's own run
@@ -145,13 +163,11 @@ def test_engines_match_reference_on_denser_instances():
         assert ok, seed
         ac, _ = eliminate_singletons(ac)
         for rule, audit in audits.items():
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule, audit)
-            assert eng_inst == ref_inst, ("d=9", seed, rule)
-            assert eng_entries == ref_entries, ("d=9", seed, rule)
+            runs.check(ac, rule, ("d=9", seed, rule), audit)
     for rule, audit in audits.items():
         fired = {label for label, _ in audit.branch_fires}
         assert branches[rule] <= fired, rule
+    runs.assert_restarts_exercised()
 
 
 def d9_and_dense_cases():
@@ -381,25 +397,25 @@ def structured_ac_instances():
                         yield (family, seed, n, d), ac
 
 
-def test_triangle_engine_matches_reference_on_structured_families():
-    """For every rule, entries (variable, witness, snapshot) and the
-    reduced instance equal the naive fixpoint's on every structured
-    family.  bt-degree's naive rescan is the slowest by far, so it runs
-    at n <= 30 only."""
+@pytest.mark.parametrize("ns", [False, True])
+def test_triangle_engine_matches_reference_on_structured_families(ns):
+    """For every rule, entries (variable, witness, snapshot, NS
+    deletions) and the reduced instance equal the naive fixpoint's on
+    every structured family.  bt-degree's naive rescan is the slowest by
+    far, so it runs at n <= 30 only."""
+    runs = NSRuns(ns)
     for rule in RULES:
         eliminated = {}
         for label, ac in structured_ac_instances():
             if rule == "bt-degree" and label[2] > 30:
                 continue
-            ref_inst, ref_entries = naive_fixpoint(ac, rule)
-            eng_inst, eng_entries = run_engine(ac, rule)
-            assert eng_inst == ref_inst, (rule, label)
-            assert eng_entries == ref_entries, (rule, label)
+            eng_entries = runs.check(ac, rule, (rule, label))
             eliminated[label[0]] = (eliminated.get(label[0], 0)
                                     + len(eng_entries))
         assert set(eliminated) == set(structured_families(0, 20)), rule
         assert all(count >= 10 for count in eliminated.values()), \
             (rule, eliminated)
+    runs.assert_restarts_exercised()
 
 
 # sha256 prefixes of each rule's eliminations and queue insertions over
@@ -520,21 +536,24 @@ def test_triangle_engine_scales_to_a_thousand_variables():
 @pytest.mark.parametrize("rule", RULES)
 def test_finished_engine_is_freed_without_the_cycle_collector(rule):
     """Scans do not refer to their engine, so a finished engine and its
-    tables go as soon as the last reference to it does."""
-    ac, _, ok = enforce_ac(
-        random_instance(GeneratorConfig(12, 4, 0.3, 0.3, 3)))
-    assert ok
-    engine = ENGINES[rule](ac.copy())
-    engine.run()
-    assert any(w is not None for scans in engine.scans.values()
-               for w in scans.values()), "no scan left running"
-    ref = weakref.ref(engine)
-    gc.disable()
-    try:
-        del engine
-        assert ref() is None
-    finally:
-        gc.enable()
+    tables go as soon as the last reference to it does, also after NS
+    deletions restarted it."""
+    for ns, seed in ((False, 3), (True, 1)):
+        ac, _, ok = enforce_ac(
+            random_instance(GeneratorConfig(12, 4, 0.3, 0.3, seed)))
+        assert ok
+        engine = ENGINES[rule](ac.copy())
+        _, entries = engine.run(ns)
+        assert any(e.deletions for e in entries) == ns, ns
+        assert any(w is not None for scans in engine.scans.values()
+                   for w in scans.values()), "no scan left running"
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None, ns
+        finally:
+            gc.enable()
 
 
 def test_justifiers_are_live_at_elimination_time():
