@@ -1,12 +1,13 @@
 """Incremental engines for the two snake rules.
 
-Both rest on one table, built once and never written: for each ordered
-value pair (v_j, v'_j) of x_j, `vars_plus_minus` holds the mask over
-variable index of the neighbours x_k of x_j where v_j has a compatible
-value that v'_j lacks, i.e. where replacing v_j by v'_j would lose
-support.  The pair is "bad for x_i" while its mask holds a live
-variable other than x_i (`live[0]` is the mask of live variables);
-eliminations only ever clear that.
+Both rest on one table, `vars_plus_minus`: for each ordered value pair
+(v_j, v'_j) of x_j, the mask over variable index of the neighbours x_k
+of x_j where v_j has a compatible value that v'_j lacks, i.e. where
+replacing v_j by v'_j would lose support.  The pair is "bad for x_i"
+while its mask holds a live variable other than x_i (`live[0]` is the
+mask of live variables); eliminations only ever clear that.  Entries
+are built on first read (`loss_mask`), exact as rows never change in a
+run and every read masks with `live[0]`; most are never built.
 
 Each value v_i of x_i has one watched scan (see `base.py`).  The
 existential rule scans the pairs (v_j incompatible, v'_j compatible
@@ -25,6 +26,20 @@ from ..model import iter_bits
 from .base import Engine
 
 
+def loss_mask(inst, vpm: dict, j: int, v: int, vp: int) -> int:
+    """The loss mask of (v, v') at x_j; `vpm[j]` holds x_j's neighbours,
+    its rows per value and the masks built so far."""
+    if j not in vpm:
+        nbrs = inst.neighbors(j)
+        vpm[j] = (nbrs, {u: [inst.row(j, k, u) for k in nbrs]
+                         for u in inst.dom(j)}, {})
+    nbrs, rows, masks = vpm[j]
+    if (v, vp) not in masks:
+        masks[(v, vp)] = sum(1 << k for k, a, b in
+                             zip(nbrs, rows[v], rows[vp]) if a & ~b)
+    return masks[(v, vp)]
+
+
 def _bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
     """The pairs (j, v_j, v'_j) that are bad for x_i with v_j forbidden
     and v'_j allowed by v_i, in scan order."""
@@ -33,9 +48,9 @@ def _bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
             for vp_j in iter_bits(row):
-                key = (j, v_j, vp_j)
-                while live[0] >> j & 1 and vpm[key] & others & live[0]:
-                    yield key
+                while (live[0] >> j & 1 and others & live[0]
+                       & loss_mask(inst, vpm, j, v_j, vp_j)):
+                    yield j, v_j, vp_j
 
 
 def _unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
@@ -45,9 +60,9 @@ def _unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
     for j in inst.neighbors(i):
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
-            keys = [(j, v_j, vp_j) for vp_j in iter_bits(row)]
-            while live[0] >> j & 1 and all(vpm[key] & others & live[0]
-                                           for key in keys):
+            while live[0] >> j & 1 and all(
+                    others & live[0] & loss_mask(inst, vpm, j, v_j, vp_j)
+                    for vp_j in iter_bits(row)):
                 yield j, v_j
 
 
@@ -57,18 +72,8 @@ class _SnakeEngine(Engine):
 
     def initialise(self) -> None:
         inst = self.inst
-        # (j, v, v') -> mask of neighbours k of x_j where replacing v by
-        # v' loses support
+        # j -> (neighbours, rows per value, {(v, v'): loss mask})
         self.vars_plus_minus = vpm = {}
-        for j in inst.variables:
-            nbrs = inst.neighbors(j)
-            rows = {v: [inst.row(j, k, v) for k in nbrs] for v in inst.dom(j)}
-            for v, row_v in rows.items():
-                for vp, row_vp in rows.items():
-                    if vp != v:
-                        vpm[(j, v, vp)] = sum(
-                            1 << k for k, a, b in zip(nbrs, row_v, row_vp)
-                            if a & ~b)
         # the mask of live variables, in a list so that the scans see it
         # shrink
         self.live = [sum(1 << i for i in inst.variables)]

@@ -12,17 +12,19 @@ plus k over k in NF(v_i).  Rows never change and engines delete no
 values, so NF only shrinks: the candidates only grow, and only at the
 neighbours of an eliminated variable.
 
-Watched scans (see `base.py`).  x_i keeps one scan per candidate x_j,
-keyed by j, over the values v_j that no v_i covers; j justifies i once
-it runs out.  A covered v_j stays covered while x_i and x_j are live,
-since an elimination only shrinks N(x_i) and leaves the covering v_i
-fewer rows to cover.  So the scan resumes only when a neighbour of x_i
-goes.
+Watched scans (see `base.py`).  x_i keeps one scan per started
+candidate x_j, keyed by j, over the values v_j that no v_i covers; j
+justifies i once it runs out.  A covered v_j stays covered while x_i
+and x_j are live, since an elimination only shrinks N(x_i) and leaves
+the covering v_i fewer rows to cover.  So a justifier stays one while
+both are live, and a scan resumes only when a neighbour of x_i goes.
 
-Revalidation.  Justifiers can be eliminated too, so a queued x_i goes
-only if it has a live justifier, the smallest being its witness.  Scans
-keyed by a gone x_j are ignored, and dropped when a neighbour of x_i
-goes.  The rule is not hereditary, so even a queued x_i is resumed.
+The engine reads only whether x_i has a live justifier and which is
+the smallest, so x_i's candidates start in index order up to the first
+justifier; the rest wait until a neighbour of x_i or that justifier
+(`held`) goes.  A value with only full rows makes every live variable
+a justifier.  The rule is not hereditary: a queued x_i is still
+resumed, and goes only if it still has a live justifier.
 """
 
 from __future__ import annotations
@@ -39,17 +41,16 @@ def _losses(inst, i: int) -> dict:
             for v_i in inst.dom(i)}
 
 
-def _candidates(inst, gone: set, i: int, lose: dict) -> set:
-    """The live x_j that pass the structural filter for x_i."""
+def _candidates(inst, gone: set, i: int, lose: dict):
+    """The live x_j that pass x_i's structural filter, in index order."""
     closed = {k: {k, *inst.neighbors(k)} for k in inst.neighbors(i)}
     found = set()
     for losses in lose.values():
         nf = [k for k, _ in losses if k not in gone]
         if not nf:
-            found = set(inst.variables)
-            break
+            return (j for j in inst.variables if j != i and j not in gone)
         found |= set.intersection(*[closed[k] for k in nf])
-    return found - gone - {i}
+    return sorted(found - gone - {i})
 
 
 def _uncovered(inst, gone: set, j: int, i: int, lose: dict):
@@ -66,16 +67,27 @@ class TriangleEngine(Engine):
     rule = "triangle"
 
     def initialise(self) -> None:
+        # x_j -> the x_i whose candidates wait while x_j justifies them
+        self.held: dict = {}
+        self.lose = {i: _losses(self.inst, i) for i in self.inst.variables}
         for i in self.inst.variables:
             self._extend(i, "init")
 
     def _extend(self, i: int, phase: str) -> None:
-        """Start the scans of x_i's new candidate pairs, keyed by j."""
-        lose = _losses(self.inst, i)
-        new = _candidates(self.inst, self.eliminated, i, lose)
-        for j in new - self.scans[i].keys():
-            self.watch(i, j, _uncovered(self.inst, self.eliminated, j, i,
-                                        lose), phase)
+        """Start x_i's candidates below its smallest live justifier in
+        index order, stopping at the first that runs out."""
+        inst, gone, scans = self.inst, self.eliminated, self.scans[i]
+        lose = self.lose[i]
+        first = min(self._justifiers(i), default=None)
+        for j in _candidates(inst, gone, i, lose):
+            if first is not None and j > first:
+                break
+            if j not in scans:
+                self.watch(i, j, _uncovered(inst, gone, j, i, lose), phase)
+                if scans[j] is None:
+                    first = j
+        if first is not None:
+            self.held.setdefault(first, set()).add(i)
 
     def _justifiers(self, i: int) -> list:
         return [j for j, w in self.scans[i].items()
@@ -97,4 +109,7 @@ class TriangleEngine(Engine):
             for j in scans.keys() & self.eliminated:
                 del scans[j]
             self.resume(i)
+            self._extend(i, "prop")
+        # x_i is queued while x_var justifies it, so these queue nothing
+        for i in self.held.pop(var, set()) - self.eliminated:
             self._extend(i, "prop")

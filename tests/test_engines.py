@@ -15,7 +15,7 @@ from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
                      random_instance, run_engine)
 from cspelim.engines import EngineAudit
-from cspelim.engines.triangle import TriangleEngine
+from cspelim.engines.triangle import TriangleEngine, _candidates, _losses
 from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
 from cspelim.patterns import checker_accepts, justifies
@@ -358,6 +358,50 @@ def test_broken_triangle_entries_are_built_on_first_read(monkeypatch, rule):
     assert 0 < built[0] <= 4 * ac.n, built[0]
 
 
+@pytest.mark.parametrize("rule", ["exists-snake", "de-snake"])
+def test_lazy_snake_loss_masks_are_exact(monkeypatch, rule):
+    """After initialisation and after each elimination, every loss mask
+    built so far at a live x_j, however late, equals the one built from
+    scratch on the instance as it stands, up to the gone variables that
+    every read masks out with `live[0]`."""
+    compared = [0]
+
+    def compare(engine):
+        inst = engine.inst
+        live = sum(1 << x for x in inst.variables)
+        assert engine.live[0] == live
+        for j, (_, _, masks) in engine.vars_plus_minus.items():
+            if not live >> j & 1:
+                continue
+            for (v, vp), mask in masks.items():
+                want = sum(1 << k for k in inst.neighbors(j)
+                           if inst.row(j, k, v) & ~inst.row(j, k, vp))
+                assert mask & live == want, (j, v, vp)
+                compared[0] += 1
+
+    runs = run_checking_every_step(monkeypatch, rule, d9_and_dense_cases(),
+                                   compare)
+    assert runs >= 15, runs
+    assert compared[0] > 1000, compared[0]
+
+
+@pytest.mark.parametrize("rule, share", [("exists-snake", 10),
+                                         ("de-snake", 4)])
+def test_snake_loss_masks_are_built_on_first_read(rule, share):
+    """Scans stop at their first failing item, so they read few loss
+    masks, and only those are built: at most 1/share of the eager
+    table, one mask per ordered value pair of each variable."""
+    ac, _, ok = enforce_ac(
+        random_instance(GeneratorConfig(40, 10, 0.25, 0.35, 7)))
+    assert ok
+    eager = sum(ac.dom_size(j) * (ac.dom_size(j) - 1) for j in ac.variables)
+    engine = ENGINES[rule](ac.copy())
+    engine.run()
+    built = sum(len(masks) for _, _, masks in
+                engine.vars_plus_minus.values())
+    assert eager == 3600 and 0 < built <= eager // share, built
+
+
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
 def test_engine_certification_rejects_uncertified_candidates(
         monkeypatch, rule):
@@ -465,10 +509,13 @@ def test_engine_runs_match_pinned_digest(monkeypatch, rule):
 
 
 def test_triangle_candidates_contain_every_justifier(monkeypatch):
-    """After initialisation and after each elimination, every live x_j
-    that justifies x_i is among the engine's candidates for x_i, and the
-    pairs whose scan ran out are exactly those x_j.  x_i is queued only
-    while it has a live justifier."""
+    """After initialisation and after each elimination, for every live
+    x_i: every live x_j that justifies x_i is among its structural
+    candidates; a started scan that ran out, with its x_j live, names a
+    justifier; the started scans hold a live justifier exactly when x_i
+    has one, and the smallest of them is x_i's smallest justifier; and
+    an x_i that is not queued has no justifier.  x_i is queued only
+    while a started scan holds a live justifier."""
     engines = []
     compared = [0]
 
@@ -476,16 +523,18 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
         engine = engines[-1]
         inst, gone = engine.inst, engine.eliminated
         for i in inst.variables:
-            pairs = {j: w for j, w in engine.scans[i].items()
-                     if j not in gone}
-            for j in inst.variables:
-                if j == i:
-                    continue
-                if justifies(inst, j, i) is not None:
-                    assert j in pairs and pairs[j] is None, (i, j)
-                    compared[0] += 1
-                else:
-                    assert pairs.get(j, 0) is not None, (i, j)
+            started = engine._justifiers(i)
+            found = [j for j in inst.variables
+                     if j != i and justifies(inst, j, i) is not None]
+            assert set(found) <= set(_candidates(inst, gone, i,
+                                                 _losses(inst, i))), i
+            assert set(started) <= set(found), (i, started, found)
+            assert bool(started) == bool(found), (i, found)
+            if started:
+                assert min(started) == found[0], (i, started, found)
+            if i not in engine._queued:
+                assert not found, (i, found)
+            compared[0] += len(found)
 
     initialise = TriangleEngine.initialise
     eliminate = engine_base.eliminate_variable
@@ -531,6 +580,46 @@ def test_triangle_engine_scales_to_a_thousand_variables():
     reduced, entries = engine.run()
     assert entries and reduced.n == n - len(entries)
     assert sum(map(len, engine.scans.values())) < 10 * n
+
+
+def test_triangle_scans_stop_at_the_first_justifier():
+    """A third of this sparse instance's constraints have full rows, so
+    many variables have a value with only full rows there and every live
+    variable is their candidate.  Started in index order up to the first
+    justifier, the scans `initialise` starts stay linear in n; one per
+    candidate pair would be quadratic."""
+    ac, _, ok = enforce_ac(structured_families(0, 400, 4)["sparse"])
+    assert ok and ac.n == 400
+    engine = TriangleEngine(ac)
+    engine._start()
+    assert sum(map(len, engine.scans.values())) < 4 * ac.n
+
+
+def test_stronger_rules_eliminate_supersets():
+    """On arc-consistent input de-snake eliminates every variable that
+    exists-snake does, and bt-degree every variable that aebtp does:
+    over the structured families at n = 20, 40 and 80 and over uniform
+    random instances at n = 20-59.  bt-degree stops at two live
+    variables, so its inclusion is asserted only when it ends above."""
+    cases = [inst for seed in range(6) for n in (20, 40, 80)
+             for inst in structured_families(seed, n).values()]
+    cases += [random_instance(GeneratorConfig(n, 4, 3.0 / n, 0.3, seed))
+              for seed, n in enumerate(range(20, 60))]
+    compared = 0
+    for k, inst in enumerate(cases):
+        ac, _, ok = enforce_ac(inst)
+        if not ok:
+            continue
+        runs = {rule: run_engine(ac, rule) for rule in
+                ("exists-snake", "de-snake", "aebtp", "bt-degree")}
+        gone = {rule: {e.var for e in entries}
+                for rule, (_, entries) in runs.items()}
+        assert gone["exists-snake"] <= gone["de-snake"], k
+        compared += 1
+        if runs["bt-degree"][0].n > 2:
+            assert gone["aebtp"] <= gone["bt-degree"], k
+            compared += 1
+    assert compared > 150, compared
 
 
 @pytest.mark.parametrize("rule", RULES)
