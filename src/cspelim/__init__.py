@@ -9,8 +9,7 @@ from .consistency import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Deletion,
                           NotArcConsistentError, eliminate_singletons,
                           eliminate_variable, enforce_ac, is_arc_consistent,
                           ns_fixpoint)
-from .engines import (ENGINES, Engine, EngineAudit, check_engine_precondition,
-                      run_engine)
+from .engines import ENGINES, Engine, check_engine_precondition, run_engine
 from .model import (FormatError, Instance, format_instance, iter_bits,
                     load_instance, parse_instance, save_instance)
 from .oracle import (GeneratorConfig, SizeGuardExceeded, are_isomorphic,
@@ -33,8 +32,7 @@ __all__ = [
     "CAUSE_AC", "CAUSE_ELIM", "CAUSE_NS", "Deletion",
     "NotArcConsistentError", "eliminate_singletons", "eliminate_variable",
     "enforce_ac", "is_arc_consistent", "ns_fixpoint",
-    "ENGINES", "Engine", "EngineAudit", "check_engine_precondition",
-    "run_engine",
+    "ENGINES", "Engine", "check_engine_precondition", "run_engine",
     "FormatError", "Instance", "format_instance",
     "iter_bits", "load_instance", "parse_instance", "save_instance",
     "GeneratorConfig", "SizeGuardExceeded", "are_isomorphic",

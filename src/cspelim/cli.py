@@ -156,6 +156,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for name, low, high in (("n", args.n_min, args.n_max),
+                            ("d", args.d_min, args.d_max)):
+        if low > high:
+            raise ValueError("--%s-min %d is above --%s-max %d"
+                             % (name, low, name, high))
     rows = []
     all_ok = True
     params = dict(n_range=(args.n_min, args.n_max),

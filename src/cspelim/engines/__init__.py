@@ -7,7 +7,7 @@ re-running the definitional checkers after every elimination.
 
 from ..model import Instance
 from ..trace import TraceEntry
-from .base import Engine, EngineAudit, check_engine_precondition
+from .base import Engine, check_engine_precondition
 from .snake import DeSnakeEngine, ExistsSnakeEngine
 from .triangle import TriangleEngine
 from .bt_degree import BTDegreeEngine
@@ -22,12 +22,12 @@ ENGINES = {
 }
 
 
-def run_engine(inst: Instance, rule: str, audit=None, ns: bool = False):
+def run_engine(inst: Instance, rule: str, ns: bool = False):
     """Run the incremental engine for `rule` on a copy of `inst` and
     return (reduced instance, trace entries).  The input must be arc
     consistent with no empty domain; only `ns` deletes values."""
     if rule not in ENGINES:
         raise ValueError("unknown rule %r" % rule)
     check_engine_precondition(inst)
-    engine = ENGINES[rule](inst.copy(), audit)
+    engine = ENGINES[rule](inst.copy())
     return engine.run(ns)

@@ -27,7 +27,6 @@ one; and `run`'s support-deletion guard still checks that premise.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import replace
 
 from ..consistency import (NotArcConsistentError, eliminate_variable,
@@ -37,19 +36,11 @@ from ..patterns import MIN_LIVE, checker_accepts
 from ..trace import TraceEntry, make_entry
 
 
-class EngineAudit:
-    """Engine diagnostics: how often each table-update branch fired per
-    (label, key), and the (var, phase) of every queue insertion."""
-
-    def __init__(self) -> None:
-        self.branch_fires: Counter = Counter()
-        self.insertions: list[tuple] = []
-
-
 class Engine:
     """Base fixpoint loop.  Subclasses set `rule`, implement
-    `initialise()` and `propagate(var, neighbors)`, start scans with
-    `watch()` and resume them with `resume()`."""
+    `initialise()` and `propagate(var, neighbors)`, start x_i's scans
+    with `watch(i, key, scan)` and resume them with `resume(i)`; both
+    queue x_i with `push(i)` once a scan runs out."""
 
     rule = ""
     # Certify each elimination over x_i's neighbours only.  The extension
@@ -58,9 +49,8 @@ class Engine:
     # the support-deletion check in `run` guards that premise.
     certify_neighbours = False
 
-    def __init__(self, inst: Instance, audit: EngineAudit | None = None):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.audit = audit
         self.eliminated: set[int] = set()
 
     def _start(self) -> None:
@@ -71,13 +61,11 @@ class Engine:
 
     # -- queue -------------------------------------------------------
 
-    def push(self, i: int, phase: str) -> None:
+    def push(self, i: int) -> None:
         if i in self.eliminated or i in self._queued:
             return
         self._queued.add(i)
         heapq.heappush(self._heap, i)
-        if self.audit is not None:
-            self.audit.insertions.append((i, phase))
 
     def _pop(self):
         while self._heap:
@@ -98,12 +86,12 @@ class Engine:
 
     # -- watched scans -----------------------------------------------
 
-    def watch(self, i: int, key, scan, phase: str) -> None:
+    def watch(self, i: int, key, scan) -> None:
         """Start `scan` for x_i under `key`; queue x_i if it runs out."""
         item = next(scan, None)
         self.scans[i][key] = None if item is None else [scan, item]
         if item is None:
-            self.push(i, phase)
+            self.push(i)
 
     def resume(self, i: int) -> None:
         """Test the watched item of each running scan of x_i again and
@@ -115,11 +103,9 @@ class Engine:
             item = next(w[0], None)
             if item == w[1]:
                 continue
-            if self.audit is not None:
-                self.audit.branch_fires[("advance", (i, key, w[1]))] += 1
             if item is None:
                 scans[key] = None
-                self.push(i, "prop")
+                self.push(i)
             else:
                 w[1] = item
 

@@ -57,11 +57,10 @@ class BrokenTriangleEngine(Engine):
                 "mcols": {u: [inst.row(m, t, u) for t in nbrs]
                           for u in inst.dom(m)},
                 "btv": {}, "many": {}, "zero": {}}
-            self.watch(m, m, self.scan(inst, gone, st, nbrs), "init")
+            self.watch(m, m, self.scan(inst, gone, st, nbrs))
 
     def propagate(self, var: int, neighbors: list) -> None:
         del self.st[var]
-        audit = self.audit
         for m in neighbors:
             st = self.st[m]
             btv, many, zero = st["btv"], st["many"], st["zero"]
@@ -73,13 +72,9 @@ class BrokenTriangleEngine(Engine):
                     s.discard(var)
                     i, v_i, u = key
                     if not s:
-                        if audit is not None:
-                            audit.branch_fires[("deg-zero", (m,) + key)] += 1
                         zero[(i, v_i)] |= 1 << u
                         del btv[key]
                     elif len(s) == 1 and self.out_of_row:
-                        if audit is not None:
-                            audit.branch_fires[("deg-one", (m,) + key)] += 1
                         many[(i, v_i)] &= ~(1 << u)
             self.resume(m)
 

@@ -81,8 +81,7 @@ class _SnakeEngine(Engine):
             for v_i in inst.dom(i):
                 if i in self._queued:  # one value is enough
                     break
-                self.watch(i, v_i, self.scan(inst, self.live, vpm, i, v_i),
-                           "init")
+                self.watch(i, v_i, self.scan(inst, self.live, vpm, i, v_i))
 
     def propagate(self, var: int, neighbors: list) -> None:
         self.live[0] &= ~(1 << var)

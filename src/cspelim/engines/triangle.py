@@ -71,9 +71,9 @@ class TriangleEngine(Engine):
         self.held: dict = {}
         self.lose = {i: _losses(self.inst, i) for i in self.inst.variables}
         for i in self.inst.variables:
-            self._extend(i, "init")
+            self._extend(i)
 
-    def _extend(self, i: int, phase: str) -> None:
+    def _extend(self, i: int) -> None:
         """Start x_i's candidates below its smallest live justifier in
         index order, stopping at the first that runs out."""
         inst, gone, scans = self.inst, self.eliminated, self.scans[i]
@@ -83,7 +83,7 @@ class TriangleEngine(Engine):
             if first is not None and j > first:
                 break
             if j not in scans:
-                self.watch(i, j, _uncovered(inst, gone, j, i, lose), phase)
+                self.watch(i, j, _uncovered(inst, gone, j, i, lose))
                 if scans[j] is None:
                     first = j
         if first is not None:
@@ -109,7 +109,7 @@ class TriangleEngine(Engine):
             for j in scans.keys() & self.eliminated:
                 del scans[j]
             self.resume(i)
-            self._extend(i, "prop")
+            self._extend(i)
         # x_i is queued while x_var justifies it, so these queue nothing
         for i in self.held.pop(var, set()) - self.eliminated:
-            self._extend(i, "prop")
+            self._extend(i)

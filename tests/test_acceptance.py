@@ -54,8 +54,7 @@ def battery():
         for rule in RULES:
             naive_inst, naive_entries = naive_fixpoint(ac, rule)
             eng_inst, eng_entries = run_engine(ac, rule)
-            if naive_inst != eng_inst or \
-                    [t.var for t in naive_entries] != [t.var for t in eng_entries]:
+            if naive_inst != eng_inst or naive_entries != eng_entries:
                 f["engine"].append((seed, rule))
             reduced_sol = brute_force_solve(eng_inst)
             if (reduced_sol is not None) != sat_before:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -216,6 +217,29 @@ def test_verify_empty_battery_prints_header(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["seed,rule,n_eliminated_naive,n_eliminated_engine,"
                    "sat_before,sat_after,reconstruction_ok"]
+
+
+def test_verify_gives_up_when_every_draw_wipes_out(capsys):
+    """p1 = p2 = 1 forbids every value pair, so every draw wipes out
+    under AC: verify stops after a fixed number in a row and exits 1
+    instead of drawing forever.  It runs in a thread so that a hang
+    fails the test rather than stalling the suite."""
+    codes = []
+    worker = threading.Thread(daemon=True, target=lambda: codes.append(
+        main(["verify", "--p1", "1", "--p2", "1", "--count", "1"])))
+    worker.start()
+    worker.join(30)
+    assert codes == [1]
+    err = capsys.readouterr().err
+    assert "wiped out under arc consistency" in err
+    assert "p1=1.0, p2_choices=(1.0,)" in err
+
+
+def test_verify_rejects_empty_ranges(capsys):
+    assert main(["verify", "--n-min", "5", "--n-max", "4"]) == 1
+    assert capsys.readouterr().err == "error: --n-min 5 is above --n-max 4\n"
+    assert main(["verify", "--d-min", "5", "--count", "1"]) == 1
+    assert capsys.readouterr().err == "error: --d-min 5 is above --d-max 4\n"
 
 
 def test_compare_pipeline_counts(tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Incremental engines against the reference fixpoint, audit invariants,
+"""Incremental engines against the reference fixpoint, the queue and
+table-update events an `EngineRecorder` reads off the engines' methods,
 and the work-bound bookkeeping."""
 
 import gc
 import hashlib
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,7 @@ from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
                      NotArcConsistentError, RULES, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
                      random_instance, run_engine)
-from cspelim.engines import EngineAudit
+from cspelim.engines.bt_degree import BrokenTriangleEngine
 from cspelim.engines.triangle import TriangleEngine, _candidates, _losses
 from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
@@ -27,6 +29,83 @@ def ac_instance(seed, **kw):
     inst = small_random(seed, **kw)
     ac, _, ok = enforce_ac(inst)
     return ac if ok else None
+
+
+class EngineRecorder:
+    """What the engines' queues and tables do, recorded by wrapping
+    engine methods with `monkeypatch`; `clear()` starts a new record.
+
+    `insertions` lists (var, phase) for every `push` that queued var:
+    phase "init" inside the rule's `initialise`, "prop" after.
+    `branch_fires` counts per (label, key) the table updates:
+    ("advance", (i, key, old item)) when `resume` finds the watched item
+    of x_i's scan under key held or ran out, and ("deg-zero" or
+    "deg-one", (m, i, v_i, u)) when the broken-triangle `propagate` sets
+    a `zero` bit or clears a `many` bit of an entry built before it."""
+
+    def __init__(self, monkeypatch):
+        self.clear()
+        self.initialising = False
+        push, resume = engine_base.Engine.push, engine_base.Engine.resume
+
+        def recorded_push(engine, i):
+            queued = i in engine._queued
+            push(engine, i)
+            if not queued and i in engine._queued:
+                self.insertions.append(
+                    (i, "init" if self.initialising else "prop"))
+
+        def recorded_resume(engine, i):
+            watched = {key: w[1] for key, w in engine.scans[i].items()
+                       if w is not None}
+            resume(engine, i)
+            scans = engine.scans[i]
+            for key, item in watched.items():
+                if scans[key] is None or scans[key][1] != item:
+                    self.branch_fires[("advance", (i, key, item))] += 1
+
+        monkeypatch.setattr(engine_base.Engine, "push", recorded_push)
+        monkeypatch.setattr(engine_base.Engine, "resume", recorded_resume)
+        # on each rule's class, not the base it inherits from, so that a
+        # copy of the base's method set on the rule's class is wrapped too
+        for cls in ENGINES.values():
+            monkeypatch.setattr(cls, "initialise",
+                                self._initialising(cls.initialise))
+            if issubclass(cls, BrokenTriangleEngine):
+                monkeypatch.setattr(cls, "propagate",
+                                    self._diffing(cls.propagate))
+
+    def clear(self):
+        self.insertions = []
+        self.branch_fires = Counter()
+
+    def _initialising(self, initialise):
+        def recorded_initialise(engine):
+            self.initialising = True
+            try:
+                initialise(engine)
+            finally:
+                self.initialising = False
+        return recorded_initialise
+
+    def _diffing(self, propagate):
+        """`propagate` diffing the `zero` and `many` masks of the entries
+        built at each neighbour x_m before the call; entries the resumed
+        scans build during it are new and not diffed."""
+        def recorded_propagate(engine, var, neighbors):
+            before = {m: (dict(engine.st[m]["zero"]),
+                          dict(engine.st[m]["many"])) for m in neighbors}
+            propagate(engine, var, neighbors)
+            fires = self.branch_fires
+            for m, (zero, many) in before.items():
+                st = engine.st[m]
+                for key, mask in zero.items():
+                    for u in iter_bits(st["zero"][key] & ~mask):
+                        fires[("deg-zero", (m,) + key + (u,))] += 1
+                for key, mask in many.items():
+                    for u in iter_bits(mask & ~st["many"][key]):
+                        fires[("deg-one", (m,) + key + (u,))] += 1
+        return recorded_propagate
 
 
 def test_engine_registry():
@@ -87,9 +166,9 @@ class NSRuns:
         self.ns = ns
         self.runs = self.deleting = 0
 
-    def check(self, ac, rule, label, audit=None):
+    def check(self, ac, rule, label):
         ref_inst, ref_entries = naive_fixpoint(ac, rule, ns_interleave=self.ns)
-        eng_inst, eng_entries = run_engine(ac, rule, audit, ns=self.ns)
+        eng_inst, eng_entries = run_engine(ac, rule, ns=self.ns)
         assert eng_inst == ref_inst, label
         assert eng_entries == ref_entries, label
         self.runs += 1
@@ -119,7 +198,7 @@ def test_engines_match_reference_fixpoint(ns):
 
 
 @pytest.mark.parametrize("ns", [False, True])
-def test_engines_match_reference_on_denser_instances(ns):
+def test_engines_match_reference_on_denser_instances(monkeypatch, ns):
     runs = NSRuns(ns)
     for seed in range(40):
         ac = ac_instance(seed, n=7, d=4, p1=0.7, p2=0.3)
@@ -156,17 +235,19 @@ def test_engines_match_reference_on_denser_instances(ns):
     branches = {"exists-snake": {"advance"}, "de-snake": {"advance"},
                 "triangle": {"advance"}, "aebtp": {"advance", "deg-zero"},
                 "bt-degree": {"advance", "deg-one", "deg-zero"}}
-    audits = {rule: EngineAudit() for rule in branches}
+    fired = {rule: set() for rule in branches}
+    recorder = EngineRecorder(monkeypatch)
     for seed, n in enumerate((14, 16, 18, 20)):
         ac, _, ok = enforce_ac(
             random_instance(GeneratorConfig(n, 9, 2.5 / n, 0.3, seed)))
         assert ok, seed
         ac, _ = eliminate_singletons(ac)
-        for rule, audit in audits.items():
-            runs.check(ac, rule, ("d=9", seed, rule), audit)
-    for rule, audit in audits.items():
-        fired = {label for label, _ in audit.branch_fires}
-        assert branches[rule] <= fired, rule
+        for rule in branches:
+            recorder.clear()
+            runs.check(ac, rule, ("d=9", seed, rule))
+            fired[rule] |= {label for label, _ in recorder.branch_fires}
+    for rule in branches:
+        assert branches[rule] <= fired[rule], rule
     runs.assert_restarts_exercised()
 
 
@@ -413,7 +494,7 @@ def test_engine_certification_rejects_uncertified_candidates(
     def push_everything(self):
         initialise(self)
         for i in self.inst.variables:
-            self.push(i, "forced")
+            self.push(i)
 
     monkeypatch.setattr(cls, "initialise", push_everything)
     rejected = 0
@@ -479,12 +560,12 @@ def test_engine_runs_match_pinned_digest(monkeypatch, rule):
     eliminations, the multiset of queue insertions (var, phase) hash to
     the pinned digest; only the order of insertions within one
     `propagate` is free."""
-    audits = []
+    recorder = EngineRecorder(monkeypatch)
     cuts = []
     eliminate = engine_base.eliminate_variable
 
     def eliminate_and_cut(inst, i):
-        cuts.append((i, len(audits[-1].insertions)))
+        cuts.append((i, len(recorder.insertions)))
         return eliminate(inst, i)
 
     monkeypatch.setattr(engine_base, "eliminate_variable", eliminate_and_cut)
@@ -493,10 +574,10 @@ def test_engine_runs_match_pinned_digest(monkeypatch, rule):
     cases = [ac for _, ac in battery_ac_instances(500, seed=0)]
     cases += [ac for _, ac in structured_ac_instances()]
     for ac in cases:
-        audits.append(EngineAudit())
+        recorder.clear()
         cuts.clear()
-        run_engine(ac, rule, audits[-1])
-        insertions = audits[-1].insertions
+        run_engine(ac, rule)
+        insertions = recorder.insertions
         start = 0
         segments = []
         for _, end in cuts + [(None, len(insertions))]:
@@ -540,9 +621,9 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
     eliminate = engine_base.eliminate_variable
     push = TriangleEngine.push
 
-    def push_justified(self, i, phase):
-        assert self._justifiers(i), (i, phase)
-        push(self, i, phase)
+    def push_justified(self, i):
+        assert self._justifiers(i), i
+        push(self, i)
 
     def initialise_then_compare(self):
         initialise(self)
@@ -657,33 +738,35 @@ def test_justifiers_are_live_at_elimination_time():
             gone.add(entry.var)
 
 
-def test_update_branches_fire_at_most_once_per_key():
+def test_update_branches_fire_at_most_once_per_key(monkeypatch):
+    recorder = EngineRecorder(monkeypatch)
     for rule in RULES:
         seen_any = False
         for seed in range(40):
             ac = ac_instance(seed, n=6, d=3, p2=0.5)
             if ac is None:
                 continue
-            audit = EngineAudit()
-            run_engine(ac, rule, audit=audit)
-            if audit.branch_fires:
+            recorder.clear()
+            run_engine(ac, rule)
+            if recorder.branch_fires:
                 seen_any = True
-            assert all(count == 1 for count in audit.branch_fires.values()), \
+            assert all(count == 1
+                       for count in recorder.branch_fires.values()), \
                 (rule, seed)
         assert seen_any, rule
 
 
-def test_candidates_inserted_once(star):
-    audit = EngineAudit()
-    run_engine(star_instance(5), "exists-snake", audit=audit)
+def test_candidates_inserted_once(monkeypatch, star):
+    recorder = EngineRecorder(monkeypatch)
+    run_engine(star_instance(5), "exists-snake")
     # the center is certified during initialisation and never re-queued
-    phases = [phase for var, phase in audit.insertions if var == 0]
+    phases = [phase for var, phase in recorder.insertions if var == 0]
     assert phases == ["init"]
-    inserted = [var for var, _ in audit.insertions]
+    inserted = [var for var, _ in recorder.insertions]
     assert sorted(inserted) == sorted(set(inserted))
 
 
-def test_work_scales_with_declared_size():
+def test_work_scales_with_declared_size(monkeypatch):
     """Branch firings stay within the table sizes, each key hit once:
     scan advances, roughly e*d^2 watched items for the snake rules and
     n^2*d (rows (j, v_j, i)) for triangle, and the table updates and
@@ -695,6 +778,7 @@ def test_work_scales_with_declared_size():
         "bt-degree": lambda n, e, d: n * e * d * d,
         "aebtp": lambda n, e, d: n * e * d * d,
     }
+    recorder = EngineRecorder(monkeypatch)
     checked = 0
     for seed in range(1, 100):
         ac = ac_instance(seed, n=12, d=3, p1=0.4, p2=0.4)
@@ -703,9 +787,9 @@ def test_work_scales_with_declared_size():
         checked += 1
         n, e, d = ac.n, ac.e, ac.max_dom_size()
         for rule in RULES:
-            audit = EngineAudit()
-            run_engine(ac, rule, audit=audit)
-            fired = sum(audit.branch_fires.values())
+            recorder.clear()
+            run_engine(ac, rule)
+            fired = sum(recorder.branch_fires.values())
             assert fired <= 4 * budgets[rule](n, e, d), (rule, seed, fired)
     # most seeds wipe out under AC at this density
     assert checked >= 10, checked

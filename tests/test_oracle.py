@@ -1,12 +1,18 @@
-"""Brute-force search, random generation, isomorphism, and order search."""
+"""Brute-force search, random generation, isomorphism, order search and
+the verification battery."""
+
+from dataclasses import replace
 
 import pytest
+
+import cspelim.engines as engines
 
 from cspelim import (GeneratorConfig, Instance, NotArcConsistentError,
                      SizeGuardExceeded, are_isomorphic, brute_force_solve,
                      count_solutions, enforce_ac, is_solution,
                      max_eliminations_by_order, naive_fixpoint,
                      random_instance)
+from cspelim.oracle import verify_one
 from conftest import (clique_instance, small_random, star_instance)
 
 
@@ -154,3 +160,26 @@ def test_max_eliminations_at_least_greedy():
         for rule in ("triangle", "aebtp"):
             greedy = len(naive_fixpoint(ac, rule)[1])
             assert max_eliminations_by_order(ac, rule) >= greedy, (seed, rule)
+
+
+def test_verify_one_compares_whole_trace_entries(monkeypatch):
+    """An engine entry that differs from the fixpoint's only in a witness
+    detail reconstruction never reads, an extra `u_map` key, still makes
+    a discrepancy: the variable sequence and the reconstruction agree."""
+    run_engine = engines.run_engine
+
+    def padded_run(inst, rule):
+        reduced, entries = run_engine(inst, rule)
+        first = entries[0]
+        u_map = {**first.witness.u_map, (first.var, 0): 0}
+        entries[0] = replace(first, witness=replace(first.witness,
+                                                    u_map=u_map))
+        return reduced, entries
+
+    star = star_instance(5)
+    assert verify_one(star, "de-snake", 0)[1]
+    monkeypatch.setattr(engines, "run_engine", padded_run)
+    row, ok = verify_one(star, "de-snake", 0)
+    assert row["n_eliminated_naive"] == row["n_eliminated_engine"] == 5
+    assert row["sat_after"] == row["reconstruction_ok"] == 1
+    assert not ok
