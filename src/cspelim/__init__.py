@@ -12,15 +12,12 @@ from .consistency import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Deletion,
 from .engines import ENGINES, Engine, check_engine_precondition, run_engine
 from .model import (FormatError, Instance, format_instance, iter_bits,
                     load_instance, parse_instance, save_instance)
-from .oracle import (GeneratorConfig, SizeGuardExceeded, are_isomorphic,
-                     brute_force_solve, count_solutions, is_solution,
-                     max_eliminations_by_order, naive_fixpoint,
+from .oracle import (GeneratorConfig, SizeGuardExceeded, brute_force_solve,
+                     count_solutions, is_solution, naive_fixpoint,
                      random_instance)
 from .patterns import (MIN_LIVE, RULES, bt_degree, check_aebtp,
-                       check_ae_broken_polyhedron, check_bt_degree_property,
-                       check_de_snake, check_exists_snake, check_1fbtp,
-                       check_triangle, checker_accepts,
-                       enumerate_broken_triangles, is_3safe)
+                       check_bt_degree_property, check_de_snake,
+                       check_exists_snake, check_triangle, checker_accepts)
 from .solver import (ReconstructionError, SearchConfig, TimeBudgetExceeded,
                      mac_solve, reconstruct_solution, solve_with_preprocessing)
 from .trace import (TraceEntry, format_trace, make_entry, parse_trace,
@@ -35,13 +32,11 @@ __all__ = [
     "ENGINES", "Engine", "check_engine_precondition", "run_engine",
     "FormatError", "Instance", "format_instance",
     "iter_bits", "load_instance", "parse_instance", "save_instance",
-    "GeneratorConfig", "SizeGuardExceeded", "are_isomorphic",
-    "brute_force_solve", "count_solutions", "is_solution",
-    "max_eliminations_by_order", "naive_fixpoint", "random_instance",
+    "GeneratorConfig", "SizeGuardExceeded", "brute_force_solve",
+    "count_solutions", "is_solution", "naive_fixpoint", "random_instance",
     "MIN_LIVE", "RULES", "bt_degree", "check_aebtp",
-    "check_ae_broken_polyhedron", "check_bt_degree_property",
-    "check_de_snake", "check_exists_snake", "check_1fbtp", "check_triangle",
-    "checker_accepts", "enumerate_broken_triangles", "is_3safe",
+    "check_bt_degree_property", "check_de_snake", "check_exists_snake",
+    "check_triangle", "checker_accepts",
     "ReconstructionError", "SearchConfig", "TimeBudgetExceeded", "mac_solve",
     "reconstruct_solution", "solve_with_preprocessing",
     "TraceEntry", "format_trace", "make_entry", "parse_trace", "write_trace",

@@ -124,8 +124,7 @@ def eliminate_singletons(inst: Instance):
     """Remove singleton-domain variables (repeatedly) from an arc-consistent
     instance.  Returns (instance, trace entries); check ``instance.wiped``.
     """
-    from .patterns import SingletonWitness
-    from .trace import TraceEntry, capture_snapshot
+    from .trace import SingletonWitness, TraceEntry, capture_snapshot
 
     cur = inst.copy()
     entries: list[TraceEntry] = []

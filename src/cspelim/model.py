@@ -259,13 +259,6 @@ class Instance:
     def __repr__(self) -> str:
         return "Instance(n=%d, e=%d, d=%d)" % (self.n, self.e, self.max_dom_size())
 
-    def canonical_key(self) -> tuple:
-        """Hashable snapshot of the live structure (for memoization)."""
-        doms = tuple((i, tuple(self.value_names(i))) for i in self.variables)
-        rels = tuple((i, j, tuple(sorted(self._relation_names(i, j))))
-                     for i, j in self.pairs())
-        return (doms, rels)
-
 
 Source = Union[str, os.PathLike, TextIO]
 

@@ -1,6 +1,6 @@
 """Ground-truth machinery: brute-force solving and counting, naive rule
-fixpoints, random instance generation, isomorphism testing, and the
-verification battery comparing engines against the naive semantics.
+fixpoints, random instance generation, and the verification battery
+comparing engines against the naive semantics.
 
 Everything here favours obviousness over speed; size guards raise
 instead of silently truncating.  `naive_fixpoint` is a reference only:
@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Optional
 
 from .consistency import (NotArcConsistentError, eliminate_variable,
                           enforce_ac, is_arc_consistent, ns_fixpoint)
-from .model import Instance, iter_bits
+from .model import Instance
 from .patterns import checker_accepts
 from .trace import TraceEntry, capture_snapshot
 
 SIZE_GUARD = 10 ** 7
-ISO_GUARD = 7
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -177,102 +176,6 @@ def random_instance(config: GeneratorConfig) -> Instance:
             constraints[(i, j)] = [(a, b) for a in values for b in values
                                    if rng.random() >= config.p2]
     return Instance.build([values] * config.n, constraints)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def _semantic_degree(inst: Instance, i: int) -> int:
-    """Number of neighbours whose relation actually forbids something."""
-    deg = 0
-    for j in inst.neighbors(i):
-        full = inst.dom_mask(j)
-        if any(inst.row(i, j, v) != full for v in inst.dom(i)):
-            deg += 1
-    return deg
-
-
-def are_isomorphic(a: Instance, b: Instance) -> bool:
-    """Variable and per-variable value bijections preserving every
-    compatibility.  Exhaustive with (domain size, effective degree)
-    pruning; guarded to n <= 7."""
-    if a.n > ISO_GUARD or b.n > ISO_GUARD:
-        raise SizeGuardExceeded("isomorphism test limited to n <= %d" % ISO_GUARD)
-    va, vb = list(a.variables), list(b.variables)
-    if len(va) != len(vb):
-        return False
-    sig_a = {i: (a.dom_size(i), _semantic_degree(a, i)) for i in va}
-    sig_b = {j: (b.dom_size(j), _semantic_degree(b, j)) for j in vb}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-
-    sigma: dict = {}
-    vmaps: dict = {}
-    used: set = set()
-
-    def consistent(x: int, y: int, pi: dict) -> bool:
-        for x2, y2 in sigma.items():
-            pi2 = vmaps[x2]
-            for v in a.dom(x):
-                for v2 in a.dom(x2):
-                    if (a.compatible(x, v, x2, v2)
-                            != b.compatible(y, pi[v], y2, pi2[v2])):
-                        return False
-        return True
-
-    def extend(idx: int) -> bool:
-        if idx == len(va):
-            return True
-        x = va[idx]
-        for y in vb:
-            if y in used or sig_a[x] != sig_b[y]:
-                continue
-            for perm in permutations(b.dom(y)):
-                pi = dict(zip(a.dom(x), perm))
-                if consistent(x, y, pi):
-                    sigma[x] = y
-                    vmaps[x] = pi
-                    used.add(y)
-                    if extend(idx + 1):
-                        return True
-                    del sigma[x], vmaps[x]
-                    used.discard(y)
-        return False
-
-    return extend(0)
-
-
-# ---------------------------------------------------------------------------
-# elimination-order search
-
-
-def max_eliminations_by_order(inst: Instance, rule: str) -> int:
-    """Maximum eliminations over every order of rule-valid choices
-    (not just the greedy smallest-first order).  Memoized exhaustive
-    search, guarded to n <= 7."""
-    if inst.n > ISO_GUARD:
-        raise SizeGuardExceeded("order search limited to n <= %d" % ISO_GUARD)
-    memo: dict = {}
-
-    def go(cur: Instance) -> int:
-        key = cur.canonical_key()
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = 0
-        for i in cur.variables:
-            if checker_accepts(cur, rule, i) is None:
-                continue
-            nxt = cur.copy()
-            _, ok = eliminate_variable(nxt, i)
-            score = 1 + (go(nxt) if ok else 0)
-            if score > best:
-                best = score
-        memo[key] = best
-        return best
-
-    return go(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Definitional checkers for the elimination rules and the patterns they
-are built from (snakes, broken triangles, broken polyhedra).
+"""Definitional checkers for the five elimination rules and the patterns
+they are built from (snakes, justifiers, broken-triangle degrees).
 
 Everything here is a direct, naive transcription of the defining
 conditions, quantifier by quantifier.  These functions are the ground
@@ -12,11 +12,12 @@ consistency is not assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .model import Instance, iter_bits
+from .trace import (DeSnakeWitness, ExtensionWitness, SnakeWitness,
+                    TriangleWitness)
 
 RULES = ("exists-snake", "de-snake", "triangle", "bt-degree", "aebtp")
 
@@ -30,91 +31,6 @@ MIN_LIVE = {
     "aebtp": 2,
     "bt-degree": 3,
 }
-
-
-# ---------------------------------------------------------------------------
-# witnesses
-
-
-@dataclass(frozen=True)
-class SnakeWitness:
-    value: int
-
-
-@dataclass(frozen=True)
-class DeSnakeWitness:
-    value: int
-    # (neighbour j, v_j incompatible with value) -> replacement u_j(v_j)
-    u_map: dict
-
-
-@dataclass(frozen=True)
-class TriangleWitness:
-    justifier: int
-    # v_j -> dominating v_i(v_j)
-    v_map: dict
-
-
-@dataclass(frozen=True)
-class ExtensionWitness:
-    """Certificate-free witness: the rule guarantees any solution of the
-    reduced instance extends, value found by scanning the snapshot."""
-
-
-@dataclass(frozen=True)
-class SingletonWitness:
-    value: int
-
-
-# ---------------------------------------------------------------------------
-# patterns
-
-
-@dataclass(frozen=True)
-class BrokenTriangle:
-    """Apexes apex_i, apex_j in D(x_m) over base (x_i,v_i),(x_j,v_j):
-    the base pair is compatible, apex_i is compatible with v_i only and
-    apex_j with v_j only."""
-    m: int
-    i: int
-    v_i: int
-    j: int
-    v_j: int
-    apex_i: int
-    apex_j: int
-
-    def holds_in(self, inst: Instance) -> bool:
-        return (self.apex_i != self.apex_j
-                and inst.compatible(self.i, self.v_i, self.j, self.v_j)
-                and inst.compatible(self.i, self.v_i, self.m, self.apex_i)
-                and inst.compatible(self.j, self.v_j, self.m, self.apex_j)
-                and not inst.compatible(self.i, self.v_i, self.m, self.apex_j)
-                and not inst.compatible(self.j, self.v_j, self.m, self.apex_i))
-
-
-@dataclass(frozen=True)
-class BrokenPolyhedron:
-    """k base assignments (var, value) plus k distinct apexes in D(x_m);
-    apex h conflicts with base point h and is compatible with the rest."""
-    m: int
-    base: tuple
-    apexes: tuple
-
-    @property
-    def k(self) -> int:
-        return len(self.base)
-
-    def holds_in(self, inst: Instance) -> bool:
-        if len(set(self.apexes)) != len(self.apexes):
-            return False
-        for (a, va), (b, vb) in combinations(self.base, 2):
-            if not inst.compatible(a, va, b, vb):
-                return False
-        for h, (a, va) in enumerate(self.base):
-            for g, u in enumerate(self.apexes):
-                if inst.compatible(a, va, self.m, u) != (g != h):
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +135,6 @@ def check_triangle(inst: Instance, i: int) -> Optional[TriangleWitness]:
 # broken triangles
 
 
-def enumerate_broken_triangles(inst: Instance, m: int) -> list[BrokenTriangle]:
-    """All broken triangles on x_m, base ordered by variable index."""
-    out = []
-    ns = inst.neighbors(m)
-    for i, j in combinations(ns, 2):
-        for v_i in inst.dom(i):
-            rim = inst.row(i, m, v_i)
-            for v_j in iter_bits(inst.row(i, j, v_i)):
-                rjm = inst.row(j, m, v_j)
-                for a in iter_bits(rim & ~rjm):
-                    for b in iter_bits(rjm & ~rim):
-                        out.append(BrokenTriangle(m, i, v_i, j, v_j, a, b))
-    return out
-
-
 def bt_degree(inst: Instance, i: int, v_i: int, m: int, v_m: int) -> int:
     """Number of distinct x_j forming a broken triangle on x_m whose base
     contains (x_i, v_i) and one of whose apexes is v_m."""
@@ -261,6 +162,8 @@ def bt_degree(inst: Instance, i: int, v_i: int, m: int, v_m: int) -> int:
 
 
 def _is_3safe(inst, i, v_i, j, v_j, m, deg) -> bool:
+    """Every broken triangle on x_m with base (v_i, v_j) has an apex side
+    of degree one; `deg(a, v_a, u)` is bt_degree toward x_m."""
     rim = inst.row(i, m, v_i)
     rjm = inst.row(j, m, v_j)
     a_set = rim & ~rjm
@@ -270,17 +173,6 @@ def _is_3safe(inst, i, v_i, j, v_j, m, deg) -> bool:
     if all(deg(i, v_i, b) == 1 for b in iter_bits(b_set)):
         return True
     return all(deg(j, v_j, a) == 1 for a in iter_bits(a_set))
-
-
-def is_3safe(inst: Instance, i: int, v_i: int, j: int, v_j: int, m: int) -> bool:
-    """Every broken triangle on x_m with base (v_i, v_j) has an apex side
-    of degree one."""
-    if len({i, j, m}) != 3:
-        raise ValueError("i, j, m must be pairwise distinct")
-    if not inst.compatible(i, v_i, j, v_j):
-        raise ValueError("base pair is not consistent")
-    return _is_3safe(inst, i, v_i, j, v_j, m,
-                     lambda a, va, u: bt_degree(inst, a, va, m, u))
 
 
 # ---------------------------------------------------------------------------
@@ -359,111 +251,6 @@ def check_aebtp(inst: Instance, m: int,
             if not any(not _apex_conflict(inst, m, i1, v1, vm, r1m)
                        for vm in iter_bits(r1m)):
                 return False
-    return True
-
-
-def _consistent_assignments(inst: Instance, subset: tuple):
-    """All pairwise-consistent assignments to subset, lexicographic."""
-    def go(idx, partial):
-        if idx == len(subset):
-            yield tuple(partial)
-            return
-        t = subset[idx]
-        allowed = inst.dom_mask(t)
-        for s, v in zip(subset, partial):
-            allowed &= inst.row(s, t, v)
-        for v in iter_bits(allowed):
-            partial.append(v)
-            yield from go(idx + 1, partial)
-            partial.pop()
-    yield from go(0, [])
-
-
-def check_ae_broken_polyhedron(inst: Instance, m: int, k: int) -> bool:
-    """Generalisation of check_aebtp to k-dimensional polyhedra; k=2
-    coincides with it.  Exhaustive (oracle use only for k >= 3)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if inst.n < k:
-        raise ValueError("need at least k variables")
-    others = [t for t in inst.variables if t != m]
-    for subset in combinations(others, k - 1):
-        for assign in _consistent_assignments(inst, subset):
-            rows_m = [inst.row(t, m, v) for t, v in zip(subset, assign)]
-            candidates = inst.dom_mask(m)
-            for r in rows_m:
-                candidates &= r
-            ok = False
-            for vm in iter_bits(candidates):
-                if not _poly_conflict(inst, m, subset, assign, rows_m, vm):
-                    ok = True
-                    break
-            if not ok:
-                return False
-    return True
-
-
-def _poly_conflict(inst, m, subset, assign, rows_m, vm) -> bool:
-    """Is vm an apex of a broken |subset|+1-polyhedron extending the
-    subset assignment by one more variable?"""
-    taken = set(subset)
-    for t in inst.neighbors(m):
-        if t == m or t in taken:
-            continue
-        cand = inst.dom_mask(t) & ~inst.row(m, t, vm)
-        for s, v in zip(subset, assign):
-            cand &= inst.row(s, t, v)
-        for v_t in iter_bits(cand):
-            rtm = inst.row(t, m, v_t)
-            ok_all = True
-            for idx in range(len(subset)):
-                c = inst.dom_mask(m) & ~rows_m[idx] & rtm
-                for h in range(len(subset)):
-                    if h != idx:
-                        c &= rows_m[h]
-                if not c:
-                    ok_all = False
-                    break
-            if ok_all:
-                return True
-    return False
-
-
-def find_broken_polyhedron(inst: Instance, m: int, k: int) -> Optional[BrokenPolyhedron]:
-    """First broken k-dimensional polyhedron on x_m, or None."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    others = [t for t in inst.variables if t != m]
-    if len(others) < k:
-        return None
-    for subset in combinations(others, k):
-        for assign in _consistent_assignments(inst, subset):
-            rows_m = [inst.row(t, m, v) for t, v in zip(subset, assign)]
-            apexes = []
-            for idx in range(k):
-                c = inst.dom_mask(m) & ~rows_m[idx]
-                for h in range(k):
-                    if h != idx:
-                        c &= rows_m[h]
-                if not c:
-                    break
-                apexes.append((c & -c).bit_length() - 1)
-            if len(apexes) == k:
-                return BrokenPolyhedron(m, tuple(zip(subset, assign)), tuple(apexes))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# 1-fBTP (checker only; used for rule comparison, no engine)
-
-
-def check_1fbtp(inst: Instance, m: int) -> bool:
-    """Every broken triangle on x_m has a support variable: a fourth
-    variable on which the base pair shares no common compatible value."""
-    for bt in enumerate_broken_triangles(inst, m):
-        if not any(not (inst.row(bt.i, ell, bt.v_i) & inst.row(bt.j, ell, bt.v_j))
-                   for ell in inst.variables if ell not in (bt.i, bt.j, m)):
-            return False
     return True
 
 

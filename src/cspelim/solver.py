@@ -24,8 +24,8 @@ from typing import Optional
 
 from .consistency import eliminate_singletons, enforce_ac, revise_to_fixpoint
 from .model import Instance, iter_bits
-from .patterns import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
-                       SnakeWitness, TriangleWitness)
+from .trace import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
+                    SnakeWitness, TriangleWitness)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Elimination traces.
+"""Elimination traces and the witness types they carry.
 
 A trace is the ordered list of eliminations performed on an instance,
 each with its rule, witness, and a snapshot of the eliminated variable's
 domain and relation rows at elimination time.  Traces are what solution
-reconstruction consumes, in reverse order.
+reconstruction consumes, in reverse order.  The witness dataclasses live
+here because this module writes and parses them; the code that builds
+them imports them from here.
 
 File format (values are written under their external names)::
 
@@ -26,11 +28,43 @@ from dataclasses import dataclass
 
 from .consistency import Deletion
 from .model import Instance, iter_bits, open_text
-from .patterns import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
-                       SnakeWitness, TriangleWitness)
 
 TRACE_RULES = ("singleton", "exists-snake", "de-snake", "triangle",
                "bt-degree", "aebtp")
+
+
+# ---------------------------------------------------------------------------
+# witnesses
+
+
+@dataclass(frozen=True)
+class SnakeWitness:
+    value: int
+
+
+@dataclass(frozen=True)
+class DeSnakeWitness:
+    value: int
+    # (neighbour j, v_j incompatible with value) -> replacement u_j(v_j)
+    u_map: dict
+
+
+@dataclass(frozen=True)
+class TriangleWitness:
+    justifier: int
+    # v_j -> dominating v_i(v_j)
+    v_map: dict
+
+
+@dataclass(frozen=True)
+class ExtensionWitness:
+    """Certificate-free witness: the rule guarantees any solution of the
+    reduced instance extends, value found by scanning the snapshot."""
+
+
+@dataclass(frozen=True)
+class SingletonWitness:
+    value: int
 
 
 @dataclass(frozen=True)
@@ -157,9 +191,21 @@ def parse_trace(source, inst: Instance):
 
     def flush(current):
         if current is not None:
-            if current[2] is None or current[3] is None:
+            rule, var, w, dom = current[:4]
+            if w is None or dom is None:
                 raise ValueError("elim of %d lacks its witness or snapvar "
-                                 "line" % current[1])
+                                 "line" % var)
+            # the witness line precedes snapvar, so its values are
+            # checked here; reconstruction reads the snapshot rows at them
+            if isinstance(w, TriangleWitness):
+                values = set(w.v_map.values())
+            elif isinstance(w, ExtensionWitness):
+                values = set()
+            else:
+                values = {w.value}
+            if not values <= set(dom):
+                raise ValueError("%s witness of %d names a value outside "
+                                 "its snapvar" % (rule, var))
             entries.append(TraceEntry(*current[:5], tuple(current[5])))
 
     current = None  # [rule, var, witness, dom, rels, deletions]
@@ -214,11 +260,22 @@ def parse_trace(source, inst: Instance):
             if var != current[1]:
                 raise ValueError("snapvar for %d inside elim of %d" % (var, current[1]))
             current[3] = tuple(internal(var, int(t)) for t in tok[3:])
+            if len(set(current[3])) != len(current[3]):
+                raise ValueError("snapvar of %d lists a value twice" % var)
         elif kind == "snaprel":
             j, t = int(tok[1]), int(tok[2])
+            if current[3] is None:
+                raise ValueError("snaprel before snapvar in elim of %d"
+                                 % current[1])
+            if j == current[1]:
+                raise ValueError("snaprel toward the eliminated variable "
+                                 "%d" % j)
+            if j in current[4]:
+                raise ValueError("second snaprel toward %d in elim of %d"
+                                 % (j, current[1]))
             if not 0 <= t <= len(lines) - pos:
                 raise ValueError("snaprel count %d out of range" % t)
-            rows = dict.fromkeys(current[3] or (), 0)
+            rows = dict.fromkeys(current[3], 0)
             for ptok in map(str.split, lines[pos:pos + t]):
                 if len(ptok) != 2:
                     raise ValueError("bad snaprel pair %r" % " ".join(ptok))

@@ -11,13 +11,10 @@ import time
 
 import pytest
 
-from cspelim import (GeneratorConfig, Instance, RULES, are_isomorphic,
-                     brute_force_solve, bt_degree,
-                     check_1fbtp, check_aebtp, check_ae_broken_polyhedron,
-                     check_bt_degree_property,
+from cspelim import (GeneratorConfig, Instance, RULES, brute_force_solve,
+                     bt_degree, check_aebtp, check_bt_degree_property,
                      checker_accepts, count_solutions, eliminate_variable,
-                     enforce_ac, enumerate_broken_triangles, is_solution,
-                     mac_solve, max_eliminations_by_order, naive_fixpoint,
+                     enforce_ac, is_solution, mac_solve, naive_fixpoint,
                      ns_fixpoint, random_instance, reconstruct_solution,
                      run_engine, solve_with_preprocessing)
 from cspelim.oracle import battery_ac_instances
@@ -26,8 +23,22 @@ from conftest import (broken_tetrahedron_instance, clique_instance,
                       clone_pair_instance, degree_gap_instance,
                       pendant_chain_instance, random_tree_instance,
                       star_instance)
+from theory import (are_isomorphic, check_1fbtp, check_ae_broken_polyhedron,
+                    enumerate_broken_triangles, max_eliminations_by_order)
 
 BATTERY_SIZE = 500
+
+
+def replay_swaps(reduced, entries, reduced_sol):
+    """Replay the trace one entry at a time, as `reconstruct_solution`
+    does in one call, and yield for each step the neighbours it
+    reassigned.  Every step's result covers the variables of `reduced`,
+    the instance the trace ends in."""
+    s = dict(reduced_sol)
+    for entry in reversed(entries):
+        step = reconstruct_solution(reduced, [entry], s)
+        yield [j for j in entry.rel_snapshot if step[j] != s[j]]
+        s = step
 
 
 def report(num, label, ok, detail=""):
@@ -39,9 +50,12 @@ def report(num, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def battery():
     """One pass over the 500-instance battery, recording every failure
-    relevant to criteria 1, 2, 3, 7 and 12."""
+    relevant to criteria 1, 2, 3, 7 and 12.  For criterion 3 it also
+    counts the exists-snake entries whose replay swaps several neighbours
+    at once, and those among them where two swapped neighbours constrain
+    each other."""
     f = {"count": 0, "engine": [], "sat": [], "recon": [], "subsume": [],
-         "verdict": []}
+         "verdict": [], "multi_swap": 0, "adjacent_swap": 0}
     for seed, ac in battery_ac_instances(BATTERY_SIZE, seed=0):
         f["count"] += 1
         sat_before = brute_force_solve(ac) is not None
@@ -63,6 +77,15 @@ def battery():
                 full = reconstruct_solution(ac, eng_entries, reduced_sol)
                 if not is_solution(ac, full):
                     f["recon"].append((seed, rule))
+                if rule == "exists-snake":
+                    for swapped in replay_swaps(eng_inst, eng_entries,
+                                                reduced_sol):
+                        if len(swapped) < 2:
+                            continue
+                        f["multi_swap"] += 1
+                        if any(b in ac.neighbors(a)
+                               for a, b in itertools.combinations(swapped, 2)):
+                            f["adjacent_swap"] += 1
             pipe_sol = solve_with_preprocessing(ac, rule)
             if (pipe_sol is not None) != sat_before or \
                     (pipe_sol is not None and not is_solution(ac, pipe_sol)):
@@ -94,8 +117,16 @@ def test_criterion_02_satisfiability_conserved(battery):
 
 
 def test_criterion_03_solutions_reconstruct(battery):
-    report(3, "solution reconstruction", not battery["recon"],
-           "failures %r" % battery["recon"][:5])
+    # exists-snake replay swaps every conflicting neighbour to its first
+    # compatible value; the battery must reach entries that swap several
+    # at once, some of them neighbours of each other
+    ok = (not battery["recon"] and battery["multi_swap"] >= 10
+          and battery["adjacent_swap"] >= 1)
+    report(3, "solution reconstruction", ok,
+           "failures %r, multi-swap entries %d, of which swap two "
+           "neighbours of each other %d"
+           % (battery["recon"][:5], battery["multi_swap"],
+              battery["adjacent_swap"]))
 
 
 def test_criterion_04_star_solution_counts():

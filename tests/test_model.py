@@ -15,6 +15,7 @@ from cspelim import (FormatError, Instance, format_instance,
                      iter_bits, load_instance, parse_instance, save_instance)
 from conftest import (broken_tetrahedron_instance, small_random,
                       star_instance, structured_families)
+from theory import canonical_key
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -108,9 +109,9 @@ def test_semantic_equality_and_canonical_key():
     b = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 1)]})
     c = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
     assert a == b
-    assert a.canonical_key() == b.canonical_key()
+    assert canonical_key(a) == canonical_key(b)
     assert a != c
-    assert a.canonical_key() != c.canonical_key()
+    assert canonical_key(a) != canonical_key(c)
 
 
 def bench_workload_texts():

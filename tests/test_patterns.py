@@ -5,16 +5,16 @@ from itertools import combinations, product
 
 import pytest
 
-from cspelim import (Instance, MIN_LIVE, RULES, bt_degree, check_1fbtp,
-                     check_aebtp, check_ae_broken_polyhedron,
+from cspelim import (Instance, MIN_LIVE, RULES, bt_degree, check_aebtp,
                      check_bt_degree_property, check_de_snake,
                      check_exists_snake, check_triangle, checker_accepts,
-                     eliminate_singletons, enforce_ac,
-                     enumerate_broken_triangles, is_3safe)
-from cspelim.patterns import (BrokenPolyhedron, BrokenTriangle,
-                              find_broken_polyhedron, justifies, snake_occurs)
+                     eliminate_singletons, enforce_ac)
+from cspelim.patterns import justifies, snake_occurs
 from conftest import (pendant_chain_instance, random_tree_instance,
                       small_random, star_instance)
+from theory import (BrokenPolyhedron, BrokenTriangle, check_1fbtp,
+                    check_ae_broken_polyhedron, enumerate_broken_triangles,
+                    find_broken_polyhedron, is_3safe)
 
 
 # ---------------------------------------------------------------------------

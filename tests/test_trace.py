@@ -64,7 +64,7 @@ def test_trace_text_shape(star):
 def test_external_names_on_disk():
     # shifted value names must appear verbatim in the file
     from cspelim import Instance, make_entry
-    from cspelim.patterns import SingletonWitness
+    from cspelim.trace import SingletonWitness
     inst = Instance.build([[7, 9], [4, 6]], {(0, 1): [(7, 4), (9, 6)]})
     entry = make_entry(inst, "singleton", 0, SingletonWitness(1))
     text = format_trace([entry], inst)
@@ -105,6 +105,23 @@ def test_parse_rejects_bad_traces(star):
         good.replace("snapvar 0 2 0 1", "snapvar 0 1 0"),
         "TRACE 1\nelim aebtp 0\nend\n",
         "TRACE 1\nelim triangle 0\nwitness extension\nend\n",
+        # a value listed twice in snapvar
+        "TRACE 1\nelim exists-snake 1\nwitness 0\nsnapvar 1 2 0 0\nend\n",
+        # a second snaprel block toward the same neighbour
+        "TRACE 1\nelim exists-snake 1\nwitness 0\nsnapvar 1 2 0 1\n"
+        "snaprel 0 1\n0 1\nsnaprel 0 1\n1 0\nend\n",
+        # a snaprel toward the eliminated variable itself
+        "TRACE 1\nelim exists-snake 1\nwitness 0\nsnapvar 1 2 0 1\n"
+        "snaprel 1 0\nend\n",
+        # a snaprel before snapvar
+        "TRACE 1\nelim exists-snake 1\nwitness 0\nsnaprel 0 0\n"
+        "snapvar 1 2 0 1\nend\n",
+        # witness values outside the entry's snapvar
+        "TRACE 1\nelim singleton 1\nwitness 1\nsnapvar 1 1 0\nend\n",
+        "TRACE 1\nelim exists-snake 1\nwitness 1\nsnapvar 1 1 0\nend\n",
+        "TRACE 1\nelim de-snake 1\nwitness 1\nsnapvar 1 1 0\nend\n",
+        "TRACE 1\nelim triangle 1\nwitness just 2\nvmap 0 1\n"
+        "snapvar 1 1 0\nend\n",
     ]
     for text in bad:
         with pytest.raises(ValueError):
