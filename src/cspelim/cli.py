@@ -23,7 +23,7 @@ from .engines import run_engine
 from .model import load_instance, open_text, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
                      verify_one)
-from .patterns import RULES, checker_accepts
+from .patterns import RULES
 from .solver import (SearchConfig, TimeBudgetExceeded, mac_solve,
                      solve_with_preprocessing)
 from .trace import write_trace
@@ -201,12 +201,7 @@ def cmd_compare(args) -> int:
     for path in args.instances:
         inst = load_instance(path)
         for rule in args.rules:
-            if args.raw_checkers:
-                eliminated = [i for i in inst.variables
-                              if checker_accepts(inst, rule, i) is not None]
-            else:
-                entries = _reduce(inst, rule)[2]
-                eliminated = [entry.var for entry in entries]
+            eliminated = [entry.var for entry in _reduce(inst, rule)[2]]
             pct = 100.0 * len(eliminated) / inst.n if inst.n else 0.0
             rows.append((path, rule, inst.n, len(eliminated), "%.1f" % pct,
                          _histogram(inst.dom_size(i) for i in eliminated),
@@ -274,9 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-rule elimination counts over instance files")
     p.add_argument("instances", nargs="+", help="BCSP instance files")
     p.add_argument("--rules", nargs="+", choices=RULES, default=list(RULES))
-    p.add_argument("--raw-checkers", action="store_true",
-                   help="count one-shot checker acceptance on the raw "
-                        "instance instead of running the pipeline")
     p.add_argument("--out", help="write the CSV report here (default stdout)")
     p.set_defaults(func=cmd_compare)
 

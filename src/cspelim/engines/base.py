@@ -17,6 +17,11 @@ Candidates sit in a min-priority queue on variable index, so the engine
 eliminates the same variable the naive smallest-index rescan would;
 with exact scans the produced traces coincide with the naive fixpoint's.
 
+An engine reads x_i's witness off its own tables (`witness(i)`); no
+definitional checker runs.  The tests certify every witness against
+the checkers, and `cspelim verify` compares whole trace entries with
+the naive fixpoint's.
+
 With `ns`, neighbourhood substitution (Cooper, AIJ 1997) follows each
 elimination, and a pass that deletes values restarts the engine.  Exact:
 the tables are a function of the live instance; NS keeps it arc
@@ -32,22 +37,18 @@ from dataclasses import replace
 from ..consistency import (NotArcConsistentError, eliminate_variable,
                            is_arc_consistent, ns_fixpoint)
 from ..model import Instance
-from ..patterns import MIN_LIVE, checker_accepts
+# uncalled: `bench/layers.py` times the name here and is its only reader
+from ..patterns import MIN_LIVE, checker_accepts  # noqa: F401
 from ..trace import TraceEntry, make_entry
 
 
 class Engine:
     """Base fixpoint loop.  Subclasses set `rule`, implement
-    `initialise()` and `propagate(var, neighbors)`, start x_i's scans
-    with `watch(i, key, scan)` and resume them with `resume(i)`; both
-    queue x_i with `push(i)` once a scan runs out."""
+    `initialise()`, `propagate(var, neighbors)` and `witness(i)`, start
+    x_i's scans with `watch(i, key, scan)` and resume them with
+    `resume(i)`; both queue x_i with `push(i)` once a scan runs out."""
 
     rule = ""
-    # Certify each elimination over x_i's neighbours only.  The extension
-    # rules set it: on the arc-consistent instances engines run on, their
-    # checkers give the same answer over that scope (see `check_aebtp`);
-    # the support-deletion check in `run` guards that premise.
-    certify_neighbours = False
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -79,10 +80,6 @@ class Engine:
         """Is a queued candidate still eliminable?  Hereditary rules
         never invalidate; the triangle engine overrides this."""
         return True
-
-    def check_witness(self, i: int, witness) -> None:
-        """Cross-check the recomputed witness against the tables.
-        Optional; engines override it as a cheap exactness canary."""
 
     # -- watched scans -----------------------------------------------
 
@@ -122,15 +119,8 @@ class Engine:
             if not self.revalidate(i):
                 continue
             nbrs = self.inst.neighbors(i)
-            witness = checker_accepts(
-                self.inst, self.rule, i,
-                among=nbrs if self.certify_neighbours else None)
-            if witness is None:
-                raise AssertionError(
-                    "engine tables certified %d for %s but the checker "
-                    "disagrees" % (i, self.rule))
-            self.check_witness(i, witness)
-            entries.append(make_entry(self.inst, self.rule, i, witness))
+            entries.append(make_entry(self.inst, self.rule, i,
+                                      self.witness(i)))
             self.eliminated.add(i)
             self.propagate(i, nbrs)
             del self.scans[i]
@@ -150,6 +140,12 @@ class Engine:
     # -- subclass API ------------------------------------------------
 
     def initialise(self) -> None:
+        raise NotImplementedError
+
+    def witness(self, i: int):
+        """The witness of x_i, a popped candidate that `revalidate`
+        accepted, read off the tables; the rule's checker gives the
+        same one."""
         raise NotImplementedError
 
     def propagate(self, var: int, neighbors: list[int]) -> None:

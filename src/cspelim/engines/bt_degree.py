@@ -34,15 +34,16 @@ from itertools import combinations, compress, repeat
 from operator import and_, invert, or_
 
 from ..model import iter_bits
+from ..trace import ExtensionWitness
 from .base import Engine
 
 
 class BrokenTriangleEngine(Engine):
     """The shared table and `propagate`.  Subclasses set `rule`, `scan`
     (x_m's one watched scan, `scan(inst, gone, st, nbrs)`, keyed by m)
-    and `out_of_row` (whether apexes outside r_i and `many` are kept)."""
+    and `out_of_row` (whether apexes outside r_i and `many` are kept).
+    Both rules' witness is certificate-free."""
 
-    certify_neighbours = True
     out_of_row = True
 
     def initialise(self) -> None:
@@ -77,6 +78,9 @@ class BrokenTriangleEngine(Engine):
                     elif len(s) == 1 and self.out_of_row:
                         many[(i, v_i)] &= ~(1 << u)
             self.resume(m)
+
+    def witness(self, i: int) -> ExtensionWitness:
+        return ExtensionWitness()
 
 
 def zero_mask(inst, gone: set, st: dict, nbrs: list, i: int, v_i: int,

@@ -18,11 +18,15 @@ compatible with v_i that is bad for nobody but x_i.  An elimination
 changes the pairs only at its neighbours x_j, so only scans at
 distance two or less resume.  Both rules are hereditary, so a queued
 variable's scans are left alone.
+
+The witness value is the smallest whose scan has run out, once the
+scans below it, left alone while x_i was queued, have moved on.
 """
 
 from __future__ import annotations
 
 from ..model import iter_bits
+from ..trace import DeSnakeWitness, SnakeWitness
 from .base import Engine
 
 
@@ -53,16 +57,24 @@ def _bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
                     yield j, v_j, vp_j
 
 
+def _replacement(inst, live: list, vpm: dict, i: int, j: int, v_j: int,
+                 row: int):
+    """The first v'_j in `row` (the values of x_j allowed by v_i) that
+    is bad for nobody but x_i as replacement of v_j, or None."""
+    others = ~(1 << i)
+    return next((vp_j for vp_j in iter_bits(row) if not
+                 others & live[0] & loss_mask(inst, vpm, j, v_j, vp_j)),
+                None)
+
+
 def _unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
     """The (j, v_j) with v_j forbidden by v_i and every v'_j allowed by
     v_i bad for x_i, in scan order."""
-    others = ~(1 << i)
     for j in inst.neighbors(i):
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
-            while live[0] >> j & 1 and all(
-                    others & live[0] & loss_mask(inst, vpm, j, v_j, vp_j)
-                    for vp_j in iter_bits(row)):
+            while live[0] >> j & 1 and _replacement(
+                    inst, live, vpm, i, j, v_j, row) is None:
                 yield j, v_j
 
 
@@ -91,12 +103,32 @@ class _SnakeEngine(Engine):
         for i in near - self.eliminated - self._queued:
             self.resume(i)
 
+    def _free_value(self, i: int) -> int:
+        """The smallest value of x_i whose scan has run out; the scans
+        below it move on in place (x_i goes next, so no push)."""
+        for v_i, w in self.scans[i].items():  # in value order
+            if w is None or next(w[0], None) is None:
+                return v_i
+
 
 class ExistsSnakeEngine(_SnakeEngine):
     rule = "exists-snake"
     scan = staticmethod(_bad_pairs)
 
+    def witness(self, i: int) -> SnakeWitness:
+        return SnakeWitness(self._free_value(i))
+
 
 class DeSnakeEngine(_SnakeEngine):
     rule = "de-snake"
     scan = staticmethod(_unreplaced)
+
+    def witness(self, i: int) -> DeSnakeWitness:
+        inst, v_i = self.inst, self._free_value(i)
+        u_map = {}
+        for j in inst.neighbors(i):
+            row = inst.row(i, j, v_i)
+            for v_j in iter_bits(inst.dom_mask(j) & ~row):
+                u_map[(j, v_j)] = _replacement(
+                    inst, self.live, self.vars_plus_minus, i, j, v_j, row)
+        return DeSnakeWitness(v_i, u_map)

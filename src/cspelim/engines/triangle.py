@@ -24,12 +24,14 @@ the smallest, so x_i's candidates start in index order up to the first
 justifier; the rest wait until a neighbour of x_i or that justifier
 (`held`) goes.  A value with only full rows makes every live variable
 a justifier.  The rule is not hereditary: a queued x_i is still
-resumed, and goes only if it still has a live justifier.
+resumed, and goes only if it still has a live justifier.  Its witness
+names the smallest and maps each v_j to the first v_i that covers it.
 """
 
 from __future__ import annotations
 
 from ..model import iter_bits
+from ..trace import TriangleWitness
 from .base import Engine
 
 
@@ -53,13 +55,19 @@ def _candidates(inst, gone: set, i: int, lose: dict):
     return sorted(found - gone - {i})
 
 
+def _cover(inst, gone: set, j: int, i: int, lose: dict, v_j: int):
+    """The first value of x_i compatible with v_j that covers it at
+    every live neighbour of x_i other than x_j, or None."""
+    return next((v_i for v_i in iter_bits(inst.row(j, i, v_j))
+                 if all(k == j or k in gone or not inst.row(j, k, v_j) & m
+                        for k, m in lose[v_i])), None)
+
+
 def _uncovered(inst, gone: set, j: int, i: int, lose: dict):
     """The values of x_j that no compatible value of x_i covers, in scan
     order; the one last yielded is tested again on each resumption."""
     for v_j in inst.dom(j):
-        while not any(all(k == j or k in gone or not inst.row(j, k, v_j) & m
-                          for k, m in lose[v_i])
-                      for v_i in iter_bits(inst.row(j, i, v_j))):
+        while _cover(inst, gone, j, i, lose, v_j) is None:
             yield v_j
 
 
@@ -96,12 +104,11 @@ class TriangleEngine(Engine):
     def revalidate(self, i: int) -> bool:
         return bool(self._justifiers(i))
 
-    def check_witness(self, i: int, witness) -> None:
-        expect = min(self._justifiers(i))
-        if witness.justifier != expect:
-            raise AssertionError(
-                "tables name %d as smallest justifier of %d, checker "
-                "found %d" % (expect, i, witness.justifier))
+    def witness(self, i: int) -> TriangleWitness:
+        inst, gone, lose = self.inst, self.eliminated, self.lose[i]
+        j = min(self._justifiers(i))
+        return TriangleWitness(j, {v_j: _cover(inst, gone, j, i, lose, v_j)
+                                   for v_j in inst.dom(j)})
 
     def propagate(self, var: int, neighbors: list) -> None:
         for i in neighbors:

@@ -162,7 +162,9 @@ def parse_trace(source, inst: Instance):
 
     Returns (entries, pre_deletions): deletions logged before the first
     elimination come back separately, later ones attach to their entry.
-    Raises ValueError on a malformed trace.
+    Raises ValueError on a malformed trace, including one that eliminates
+    a variable twice or names a gone variable as a triangle justifier or
+    `snaprel` neighbour (the entry's own or an earlier one).
     """
     if isinstance(source, str) and "\n" in source:
         text = source
@@ -209,6 +211,7 @@ def parse_trace(source, inst: Instance):
             entries.append(TraceEntry(*current[:5], tuple(current[5])))
 
     current = None  # [rule, var, witness, dom, rels, deletions]
+    gone = set()  # the variables of this and the earlier entries
     while pos < len(lines):
         tok = lines[pos].split()
         pos += 1
@@ -224,6 +227,9 @@ def parse_trace(source, inst: Instance):
             rule, var = tok[1], int(tok[2])
             if rule not in TRACE_RULES:
                 raise ValueError("unknown rule %r in trace" % rule)
+            if var in gone:
+                raise ValueError("variable %d eliminated twice" % var)
+            gone.add(var)
             current = [rule, var, None, None, {}, []]
         elif current is None:
             if kind != "del":
@@ -234,6 +240,9 @@ def parse_trace(source, inst: Instance):
             if rule in ("bt-degree", "aebtp") and arg == ["extension"]:
                 current[2] = ExtensionWitness()
             elif rule == "triangle" and len(arg) == 2 and arg[0] == "just":
+                if int(arg[1]) in gone:
+                    raise ValueError("justifier %s of %d is eliminated"
+                                     % (arg[1], var))
                 current[2] = TriangleWitness(int(arg[1]), {})
             elif rule == "singleton" and len(arg) == 1:
                 current[2] = SingletonWitness(internal(var, int(arg[0])))
@@ -267,7 +276,7 @@ def parse_trace(source, inst: Instance):
             if current[3] is None:
                 raise ValueError("snaprel before snapvar in elim of %d"
                                  % current[1])
-            if j == current[1]:
+            if j in gone:
                 raise ValueError("snaprel toward the eliminated variable "
                                  "%d" % j)
             if j in current[4]:

@@ -1,4 +1,5 @@
-"""Shared instance builders.
+"""Shared instance builders, and the fixture that certifies engine
+witnesses against the definitional checkers.
 
 Values are encoded as small integers.  Encodings used by the canonical
 fixtures are noted next to each builder so the assertions elsewhere can
@@ -9,7 +10,34 @@ import random
 
 import pytest
 
-from cspelim import GeneratorConfig, Instance, random_instance
+from cspelim import ENGINES, GeneratorConfig, Instance, random_instance
+from cspelim.patterns import checker_accepts
+
+
+@pytest.fixture(scope="module")
+def certified_witnesses():
+    """Every engine elimination in the module is certified: the witness
+    the engine reads off its tables must equal the one its rule's checker
+    finds on the instance as it stands.  The extension rules' checkers
+    run over x_i's neighbours, which gives the full answer on the
+    arc-consistent instances engines run on (see `check_aebtp`)."""
+    def certified(witness, rule):
+        def certified_witness(engine, i):
+            found = witness(engine, i)
+            inst = engine.inst
+            among = (inst.neighbors(i) if rule in ("aebtp", "bt-degree")
+                     else None)
+            assert found == checker_accepts(inst, rule, i, among=among), \
+                "engine tables give %r for %d under %s but the checker " \
+                "disagrees" % (found, i, rule)
+            return found
+        return certified_witness
+
+    with pytest.MonkeyPatch.context() as mp:
+        # on each rule's class, as `EngineRecorder` wraps its methods
+        for rule, cls in ENGINES.items():
+            mp.setattr(cls, "witness", certified(cls.witness, rule))
+        yield
 
 
 def broken_triangle_instance() -> Instance:

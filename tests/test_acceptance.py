@@ -3,7 +3,9 @@
 Each test prints a single ``acceptance NN <label>: PASS|FAIL`` line (visible
 with ``pytest -s``) and asserts the same condition, so the -v report doubles
 as the acceptance checklist.  The randomized battery (criteria 1-3, 7, 12)
-is computed once in a module-scoped fixture and shared.
+is computed once in a module-scoped fixture and shared.  Every engine
+witness in the module is certified by its rule's checker
+(`certified_witnesses` in conftest).
 """
 
 import itertools
@@ -28,6 +30,8 @@ from theory import (are_isomorphic, check_1fbtp, check_ae_broken_polyhedron,
 
 BATTERY_SIZE = 500
 
+pytestmark = pytest.mark.usefixtures("certified_witnesses")
+
 
 def replay_swaps(reduced, entries, reduced_sol):
     """Replay the trace one entry at a time, as `reconstruct_solution`
@@ -48,7 +52,7 @@ def report(num, label, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def battery():
+def battery(certified_witnesses):
     """One pass over the 500-instance battery, recording every failure
     relevant to criteria 1, 2, 3, 7 and 12.  For criterion 3 it also
     counts the exists-snake entries whose replay swaps several neighbours

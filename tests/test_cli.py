@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cspelim import (brute_force_solve, checker_accepts, eliminate_singletons,
+from cspelim import (brute_force_solve, eliminate_singletons,
                      enforce_ac, format_trace, is_solution, load_instance,
                      naive_fixpoint, parse_trace, save_instance)
 from cspelim.cli import main
@@ -259,23 +259,6 @@ def test_compare_pipeline_counts(tmp_path, capsys):
     assert star_row[5] == "2:5"        # every eliminated var had 2 values
     assert star_row[6] == "1:4;4:1"    # four leaves and the centre
     assert by_key[(star_path, "exists-snake")][3] == "5"
-
-
-def test_compare_raw_checkers(tmp_path, capsys):
-    inst = degree_gap_instance()
-    path = write_instance(tmp_path, inst, "gap.bcsp")
-    out = str(tmp_path / "raw.csv")
-    code = main(["compare", path, "--raw-checkers",
-                 "--rules", "bt-degree", "aebtp", "--out", out])
-    assert code == 0
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = {r[1]: r for r in list(csv.reader(fh))[1:]}
-    for rule in ("bt-degree", "aebtp"):
-        expected = [i for i in inst.variables
-                    if checker_accepts(inst, rule, i) is not None]
-        assert rows[rule][3] == str(len(expected))
-    assert checker_accepts(inst, "bt-degree", 2) is not None
-    assert int(rows["bt-degree"][3]) >= 1
 
 
 def test_cli_error_handling(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Incremental engines against the reference fixpoint, the queue and
 table-update events an `EngineRecorder` reads off the engines' methods,
-and the work-bound bookkeeping."""
+and the work-bound bookkeeping.  Every engine witness in this module is
+certified by its rule's checker (`certified_witnesses` in conftest)."""
 
 import gc
 import hashlib
@@ -23,6 +24,9 @@ from cspelim.oracle import battery_ac_instances
 from cspelim.patterns import checker_accepts, justifies
 from conftest import (random_tree_instance, small_random, star_instance,
                       structured_families)
+
+
+pytestmark = pytest.mark.usefixtures("certified_witnesses")
 
 
 def ac_instance(seed, **kw):
@@ -486,8 +490,10 @@ def test_snake_loss_masks_are_built_on_first_read(rule, share):
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
 def test_engine_certification_rejects_uncertified_candidates(
         monkeypatch, rule):
-    """Every variable queued regardless of the tables: the run-time
-    certification must catch some elimination the rule does not allow."""
+    """Every variable queued regardless of the tables: the extension
+    engines' witness is certificate-free, so only the module's witness
+    certification can catch an elimination the rule does not allow, and
+    it must catch some."""
     cls = ENGINES[rule]
     initialise = cls.initialise
 
@@ -650,8 +656,8 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
 
 
 def test_triangle_engine_scales_to_a_thousand_variables():
-    """n = 1000, d = 10, e about 3000: every elimination is certified by
-    the checker in `Engine.run`, and the candidate pairs stay a few per
+    """n = 1000, d = 10, e about 3000: every elimination's witness is
+    certified by the checker, and the candidate pairs stay a few per
     variable instead of all n^2."""
     n = 1000
     ac, _, ok = enforce_ac(random_instance(

@@ -1,10 +1,12 @@
-"""What the runtime package may import.
+"""What the runtime package may import and call.
 
-The definitional checkers in ``cspelim.patterns`` serve only run-time
-certification, the reference fixpoint behind ``cspelim verify`` and the
-CLI's rule list and raw-checker comparison; the theory-only checkers and
-search oracles live in ``tests/theory.py``.  These tests read the
-package's import statements with ``ast`` and pin that boundary.
+The definitional checkers in ``cspelim.patterns`` run only in the
+reference fixpoint behind ``cspelim verify``; the engines and the CLI
+read the rule list and ``MIN_LIVE`` from that module and call none of
+its functions, and the tests certify the engines' witnesses.  The
+theory-only checkers and search oracles live in ``tests/theory.py``.
+These tests read the package's source with ``ast`` and pin that
+boundary.
 """
 
 import ast
@@ -18,15 +20,17 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 # modules allowed to import cspelim.patterns, relative to src/cspelim
 PATTERN_IMPORTERS = {"__init__.py", "cli.py", "oracle.py", "engines/base.py"}
+# modules allowed to call what they import from it
+CHECKER_CALLERS = {"patterns.py", "oracle.py"}
 
 MOVED_TO_THEORY = ("are_isomorphic", "max_eliminations_by_order",
                    "check_ae_broken_polyhedron", "check_1fbtp",
                    "enumerate_broken_triangles", "is_3safe")
 
 
-def imported_modules():
-    """(path relative to src/cspelim, absolute module name) for every
-    module each package file imports, relative imports resolved."""
+def package_modules():
+    """(path relative to src/cspelim, its package as a list of names,
+    its syntax tree) for every package file."""
     root = os.path.join(SRC, "cspelim")
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
@@ -34,25 +38,61 @@ def imported_modules():
                 continue
             path = os.path.join(dirpath, name)
             rel = os.path.relpath(path, root).replace(os.sep, "/")
-            package = ["cspelim"] + rel.split("/")[:-1]
             with open(path, encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=path)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        yield rel, alias.name
-                elif isinstance(node, ast.ImportFrom):
-                    if node.level:
-                        base = package[:len(package) - node.level + 1]
-                        parts = base + (node.module.split(".")
-                                        if node.module else [])
-                    else:
-                        parts = node.module.split(".")
-                    module = ".".join(parts)
-                    yield rel, module
-                    # `from . import patterns` names a submodule
-                    for alias in node.names:
-                        yield rel, module + "." + alias.name
+            yield rel, ["cspelim"] + rel.split("/")[:-1], tree
+
+
+def source_module(node, package) -> str:
+    """The absolute name of the module a `from ... import` reads."""
+    if not node.level:
+        return node.module
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + (node.module.split(".") if node.module else []))
+
+
+def imported_modules():
+    """(path relative to src/cspelim, absolute module name) for every
+    module each package file imports, relative imports resolved."""
+    for rel, package, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield rel, alias.name
+            elif isinstance(node, ast.ImportFrom):
+                module = source_module(node, package)
+                yield rel, module
+                # `from . import patterns` names a submodule
+                for alias in node.names:
+                    yield rel, module + "." + alias.name
+
+
+def pattern_calls():
+    """(path relative to src/cspelim, callee) for every call of a name
+    the file imports from cspelim.patterns, or of an attribute of that
+    module under the name the file binds it to."""
+    for rel, package, tree in package_modules():
+        names, modules = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "cspelim.patterns"}
+            elif isinstance(node, ast.ImportFrom):
+                module = source_module(node, package)
+                for alias in node.names:
+                    if module == "cspelim.patterns":
+                        names.add(alias.asname or alias.name)
+                    elif module + "." + alias.name == "cspelim.patterns":
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                yield rel, func.id
+            elif (isinstance(func, ast.Attribute)
+                  and ast.unparse(func.value) in modules):
+                yield rel, ast.unparse(func)
 
 
 def test_only_certification_verify_and_cli_import_patterns():
@@ -60,6 +100,18 @@ def test_only_certification_verify_and_cli_import_patterns():
                  if module == "cspelim.patterns"}
     assert importers, "the walk found no import of cspelim.patterns"
     assert importers <= PATTERN_IMPORTERS, sorted(importers - PATTERN_IMPORTERS)
+
+
+def test_only_the_reference_fixpoint_calls_the_checkers():
+    """Engines write their own witnesses and the CLI only reads the rule
+    list: outside `patterns.py` and `oracle.py` no module calls a name it
+    imports from `cspelim.patterns`."""
+    calls = set(pattern_calls())
+    assert ("oracle.py", "checker_accepts") in calls, \
+        "the walk found no call of a checker"
+    offenders = sorted(call for call in calls
+                       if call[0] not in CHECKER_CALLERS)
+    assert not offenders, offenders
 
 
 def test_package_imports_nothing_from_tests():

@@ -122,6 +122,20 @@ def test_parse_rejects_bad_traces(star):
         "TRACE 1\nelim de-snake 1\nwitness 1\nsnapvar 1 1 0\nend\n",
         "TRACE 1\nelim triangle 1\nwitness just 2\nvmap 0 1\n"
         "snapvar 1 1 0\nend\n",
+        # a variable eliminated twice
+        "TRACE 1\nelim exists-snake 1\nwitness 0\nsnapvar 1 2 0 1\n"
+        "elim exists-snake 1\nwitness 0\nsnapvar 1 2 0 1\nend\n",
+        # a triangle justifier that is the entry's own variable, and one
+        # that an earlier entry eliminated
+        "TRACE 1\nelim triangle 1\nwitness just 1\nvmap 0 0\nvmap 1 1\n"
+        "snapvar 1 2 0 1\nend\n",
+        "TRACE 1\nelim exists-snake 2\nwitness 0\nsnapvar 2 2 0 1\n"
+        "elim triangle 1\nwitness just 2\nvmap 0 0\nvmap 1 1\n"
+        "snapvar 1 2 0 1\nend\n",
+        # a snaprel toward a variable an earlier entry eliminated
+        "TRACE 1\nelim exists-snake 0\nwitness 0\nsnapvar 0 2 0 1\n"
+        "elim exists-snake 1\nwitness 0\nsnapvar 1 2 0 1\n"
+        "snaprel 0 1\n0 1\nend\n",
     ]
     for text in bad:
         with pytest.raises(ValueError):
