@@ -7,6 +7,7 @@ never an exception: preprocessing legitimately discovers it.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -128,10 +129,10 @@ def eliminate_singletons(inst: Instance):
 
     cur = inst.copy()
     entries: list[TraceEntry] = []
-    while True:
-        single = next((i for i in cur.variables if cur.dom_size(i) == 1), None)
-        if single is None:
-            break
+    # the current singletons, smallest index first
+    singles = [i for i in cur.variables if cur.dom_size(i) == 1]
+    while singles:
+        single = heapq.heappop(singles)
         value = cur.dom(single)[0]
         doms, rels = capture_snapshot(cur, single)
         log, ok = eliminate_variable(cur, single)
@@ -139,6 +140,9 @@ def eliminate_singletons(inst: Instance):
                                   doms, rels, deletions=tuple(log)))
         if not ok:
             break
+        for j in {d.var for d in log}:
+            if cur.dom_size(j) == 1:
+                heapq.heappush(singles, j)
     return cur, entries
 
 

@@ -6,16 +6,19 @@ ordering and geometric restarts.  It keeps one dict of domain masks and
 a trail of (variable, old mask) pairs, undone on failure, so memory is
 linear in the search depth (Schulte, "Comparing trailing and copying
 for constraint programming", ICLP 1999).  Weight sums toward unassigned
-neighbours are kept incrementally, so a pick costs O(1) per variable.
-Propagation is `revise_to_fixpoint`'s reverse-row revise.
+neighbours are kept incrementally, and the dom/wdeg pick (Boussemart,
+Hemery, Lecoutre and Sais, ECAI 2004) takes the top of a heap of scores
+that is re-keyed lazily, so a pick costs O(log n) per entry it pops or
+re-keys rather than a scan of every unassigned variable.  Propagation
+is `revise_to_fixpoint`'s reverse-row revise.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import heapq
 import math
 import time
 from collections import deque
@@ -62,6 +65,12 @@ def _log(log, line: str) -> None:
         log.append(line)
 
 
+def _log_refuted(log) -> None:
+    """The log of an instance refuted before any search."""
+    _log(log, "backtracks 0")
+    _log(log, "verdict unsat")
+
+
 # ---------------------------------------------------------------------------
 # MAC search
 
@@ -74,8 +83,15 @@ class _Attempt:
     remembers the trail length before its variable was assigned; each
     value tried pops the trail back to that mark first.
     ``wsum[i]`` is the weight of x_i's constraints toward unassigned
-    neighbours, kept current on assign, unassign and weight bump, and
-    ``free`` lists the unassigned variables in index order.
+    neighbours, kept current on assign, unassign and weight bump.
+    ``heap`` holds (score, variable) entries, re-keyed lazily: at each
+    pick, every unassigned variable has an entry no greater than its
+    current score.  ``dropped`` collects the variables whose score may
+    have dropped since the last pick: those a successful propagation
+    narrowed, an unassigned variable and its neighbours, and both ends
+    of a bumped weight; the pick pushes their current scores.  What a
+    failed propagation narrows is undone before the next pick, and
+    undoing the trail or assigning a neighbour only raises scores.
     """
 
     def __init__(self, inst: Instance, neighbors: dict, weights: dict,
@@ -87,11 +103,12 @@ class _Attempt:
         self.deadline = deadline
         self.backtracks = 0
         self.assigned: dict = {}
-        self.free = list(neighbors)
         self.masks = {i: inst.dom_mask(i) for i in neighbors}
         self.trail: list = []
         self.wsum = {i: sum(weights[(min(i, j), max(i, j))] for j in nbrs)
                      for i, nbrs in neighbors.items()}
+        self.heap = self._fresh_heap()
+        self.dropped: set = set()
 
     def run(self) -> Optional[dict]:
         masks = self.masks
@@ -115,6 +132,7 @@ class _Attempt:
                     masks[x] = 1 << v
                     if self._propagate(x):
                         self._assign(x, v)
+                        self.dropped.update(i for i, _ in trail[mark:])
                         placed = True
                         break
                 else:
@@ -135,32 +153,53 @@ class _Attempt:
 
     def _assign(self, x: int, v: int) -> None:
         self.assigned[x] = v
-        self.free.remove(x)
         for j in self.neighbors[x]:
             self.wsum[j] -= self.weights[(min(x, j), max(x, j))]
 
     def _unassign(self, x: int) -> None:
         del self.assigned[x]
-        bisect.insort(self.free, x)
+        self.dropped.add(x)
+        self.dropped.update(self.neighbors[x])
         for j in self.neighbors[x]:
             self.wsum[j] += self.weights[(min(x, j), max(x, j))]
+
+    def _score(self, i: int) -> float:
+        """Live values per unit of weight toward unassigned neighbours;
+        infinite for a variable with no such weight."""
+        w = self.wsum[i]
+        return self.masks[i].bit_count() / w if w else math.inf
+
+    def _fresh_heap(self) -> list:
+        """One current entry per unassigned variable."""
+        assigned = self.assigned
+        heap = [(self._score(i), i) for i in self.masks if i not in assigned]
+        heapq.heapify(heap)
+        return heap
 
     def _pick(self) -> Optional[int]:
         """Smallest ratio of live values to weights of constraints toward
         uninstantiated neighbours; unconstrained variables last; ties by
-        variable index."""
-        if not self.free:
-            return None
-        masks = self.masks
-        wsum = self.wsum
-        best = self.free[0]
-        best_score = math.inf
-        for i in self.free:
-            if wsum[i]:
-                score = masks[i].bit_count() / wsum[i]
-                if score < best_score:
-                    best, best_score = i, score
-        return best
+        variable index.  Pushes the dropped scores, then pops entries of
+        assigned variables and re-keys stale ones until the top entry's
+        score is current."""
+        heap = self.heap
+        assigned = self.assigned
+        for i in self.dropped:
+            if i not in assigned:
+                heapq.heappush(heap, (self._score(i), i))
+        self.dropped.clear()
+        if len(heap) > 4 * len(self.masks):
+            heap = self.heap = self._fresh_heap()
+        while heap:
+            score, i = heap[0]
+            if i in assigned:
+                heapq.heappop(heap)
+                continue
+            now = self._score(i)
+            if now == score:
+                return i
+            heapq.heapreplace(heap, (now, i))
+        return None
 
     def _propagate(self, start: int) -> bool:
         """Re-establish arc consistency after narrowing `start`.  On a
@@ -177,6 +216,10 @@ class _Attempt:
             self.wsum[i] += 1
         if i not in self.assigned:
             self.wsum[j] += 1
+            # a score dropped only where both ends are unassigned
+            if j not in self.assigned:
+                self.dropped.add(i)
+                self.dropped.add(j)
         return False
 
 
@@ -196,8 +239,7 @@ def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,
         deadline = time.monotonic() + cfg.time_limit
     root, _, ok = enforce_ac(inst)
     if not ok:
-        _log(log, "backtracks 0")
-        _log(log, "verdict unsat")
+        _log_refuted(log)
         return None
     weights = {pair: 1 for pair in root.pairs()}
     neighbors = {i: root.neighbors(i) for i in root.variables}
@@ -311,9 +353,11 @@ def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
     start = time.monotonic()
     root, _, ok = enforce_ac(inst)
     if not ok:
+        _log_refuted(log)
         return None
     cur, entries = eliminate_singletons(root)
     if cur.wiped:
+        _log_refuted(log)
         return None
     entries = list(entries)
     if rule is not None and rule != "none":

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cspelim import (brute_force_solve, eliminate_singletons,
+from cspelim import (RULES, brute_force_solve, eliminate_singletons,
                      enforce_ac, format_trace, is_solution, load_instance,
                      naive_fixpoint, parse_trace, save_instance)
 from cspelim.cli import main
@@ -139,6 +139,20 @@ def test_solve_unsat(tmp_path, capsys):
     path = write_instance(tmp_path, broken_triangle_instance())
     assert main(["solve", path, "--rule", "triangle"]) == 20
     assert capsys.readouterr().out.strip() == "unsat"
+
+
+@pytest.mark.parametrize("rule", RULES + ("none",))
+def test_solve_logs_refutation_before_search(tmp_path, capsys, rule):
+    # the one constraint allows no pair, so arc consistency refutes the
+    # instance before any rule or search runs
+    path = tmp_path / "refuted.bcsp"
+    path.write_text("BCSP 1\nvars 2\ndom 0 2 0 1\ndom 1 2 0 1\n"
+                    "con 0 1 0\nend\n")
+    log = str(tmp_path / "search.log")
+    assert main(["solve", str(path), "--rule", rule, "--log", log]) == 20
+    assert capsys.readouterr().out.strip() == "unsat"
+    with open(log, encoding="utf-8") as fh:
+        assert fh.read().splitlines() == ["backtracks 0", "verdict unsat"]
 
 
 def test_solve_timeout(tmp_path, capsys):

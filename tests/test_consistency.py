@@ -12,6 +12,7 @@ from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
                      eliminate_variable, enforce_ac, is_arc_consistent,
                      ns_fixpoint, random_instance)
 from cspelim.consistency import revise_to_fixpoint
+from cspelim.trace import SingletonWitness, TraceEntry, capture_snapshot
 from conftest import (broken_triangle_instance, degree_gap_instance,
                       disjoint_union, random_tree_instance, small_random,
                       star_instance, structured_families)
@@ -207,6 +208,51 @@ def test_singletons_cascade(monkeypatch):
     assert reduced.n == 0
     assert len(copies) == 1
     assert ac.n == n
+
+
+def rescan_singletons(inst):
+    """Reference singleton removal: after each elimination, rescan the
+    variables for the smallest-index singleton."""
+    cur = inst.copy()
+    entries = []
+    while True:
+        single = next((i for i in cur.variables if cur.dom_size(i) == 1),
+                      None)
+        if single is None:
+            break
+        value = cur.dom(single)[0]
+        doms, rels = capture_snapshot(cur, single)
+        log, ok = eliminate_variable(cur, single)
+        entries.append(TraceEntry("singleton", single,
+                                  SingletonWitness(value), doms, rels,
+                                  deletions=tuple(log)))
+        if not ok:
+            break
+    return cur, entries
+
+
+def test_singleton_worklist_matches_rescan():
+    # inputs that are not arc consistent make singletons mid-run, some
+    # below an index still waiting, and some wipe a neighbour out
+    rng = random.Random(5)
+    cascades = wipeouts = 0
+    for seed in range(150):
+        inst = small_random(seed, n=12, d=3, p1=0.4, p2=0.3)
+        for i in inst.variables:
+            for v in list(inst.dom(i)):
+                if inst.dom_size(i) > 1 and rng.random() < 0.3:
+                    inst.delete_value(i, v)
+        got, entries = eliminate_singletons(inst)
+        want, expected = rescan_singletons(inst)
+        assert entries == expected, seed
+        assert got == want and got.wiped == want.wiped, seed
+        cascades += any(e.deletions for e in entries)
+        wipeouts += got.wiped
+        ac, _, ok = enforce_ac(inst)
+        if ok:
+            got, entries = eliminate_singletons(ac)
+            assert (got, entries) == rescan_singletons(ac), seed
+    assert cascades >= 20 and wipeouts >= 5, (cascades, wipeouts)
 
 
 def test_ns_deletes_dominated_values():

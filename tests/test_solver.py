@@ -5,6 +5,7 @@ import hashlib
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ import cspelim.engines
 from cspelim import (GeneratorConfig, Instance, ReconstructionError,
                      SearchConfig, TimeBudgetExceeded, brute_force_solve,
                      enforce_ac, is_solution, mac_solve, naive_fixpoint,
-                     random_instance, reconstruct_solution,
+                     random_instance, reconstruct_solution, solver,
                      solve_with_preprocessing)
 from conftest import (clique_instance, disjoint_union, random_tree_instance,
                       small_random, star_instance)
@@ -113,6 +114,121 @@ def test_search_order_is_pinned():
     assert verdicts == {"verdict sat", "verdict unsat"}
     assert restarted >= 4
     assert digest.hexdigest() == SEARCH_ORDER_DIGEST
+
+
+# the heap pick under test, bound before any test patches solver._Attempt
+HeapAttempt = solver._Attempt
+
+
+class ScanAttempt(HeapAttempt):
+    """The reference dom/wdeg pick: scan the unassigned variables in
+    index order for the first smallest score, skipping those with no
+    weight, which come last.  It keeps no heap, so it discards the
+    variables recorded for the heap's next push."""
+
+    def _fresh_heap(self):
+        return []
+
+    def _pick(self):
+        self.dropped.clear()
+        free = [i for i in self.masks if i not in self.assigned]
+        if not free:
+            return None
+        best, best_score = free[0], math.inf
+        for i in free:
+            if self.wsum[i]:
+                score = self._score(i)
+                if score < best_score:
+                    best, best_score = i, score
+        return best
+
+
+def run_recorded(monkeypatch, attempt, inst, config=None):
+    """mac_solve with `attempt` as the restart class: (picks, log,
+    solution), the picks of every restart in order."""
+    picks = []
+
+    class Recorded(attempt):
+        def _pick(self):
+            x = super()._pick()
+            picks.append(x)
+            return x
+
+    monkeypatch.setattr(solver, "_Attempt", Recorded)
+    log = []
+    sol = mac_solve(inst, config, log)
+    return picks, log, sol
+
+
+def isolated_variables_instance(seed: int) -> Instance:
+    """A random instance with every third variable left unconstrained,
+    so that several variables score infinity at once (most seeds are
+    satisfiable)."""
+    inst = small_random(seed, n=12, d=3, p1=0.6, p2=0.3)
+    return Instance.build(
+        [inst.dom(i) for i in inst.variables],
+        {(i, j): [(v, w) for v in inst.dom(i) for w in inst.dom(j)
+                  if inst.compatible(i, v, j, w)]
+         for i, j in inst.pairs() if i % 3 and j % 3})
+
+
+def test_heap_pick_matches_scan(monkeypatch):
+    # near the threshold for d = 6, budgets of 1 to 3 so that restarts
+    # and weight bumps reorder the picks
+    cases = [(small_random(seed, n=24 + seed % 9, d=6, p1=0.3,
+                           p2=(0.33, 0.4)[seed % 2]), 1 + seed % 3)
+             for seed in range(24)]
+    # found by a wider search: the first two need the unassigned
+    # variable's own push, the last its neighbours' (a weight bumped
+    # while a neighbour was assigned)
+    cases += [(small_random(seed, n=n, d=d, p1=0.3, p2=p2), initial)
+              for seed, n, d, p2, initial in ((14, 26, 6, 0.33, 3),
+                                              (80, 29, 6, 0.33, 1),
+                                              (58, 28, 5, 0.3, 1))]
+    cases += [(clique_instance(n, d), 2) for n, d in ((4, 3), (5, 4), (6, 4))]
+    cases += [(random_tree_instance(25, 2 + seed % 2, seed), 1)
+              for seed in range(4)]
+    cases += [(disjoint_union(clique_instance(4, 3),
+                              small_random(seed, n=8, d=3, p2=0.5)), 2)
+              for seed in range(4)]
+    cases += [(isolated_variables_instance(seed), 1) for seed in range(6)]
+    restarted = Counter()
+    for case, (inst, initial) in enumerate(cases):
+        config = SearchConfig(initial_backtracks=initial)
+        heap = run_recorded(monkeypatch, HeapAttempt, inst, config)
+        scan = run_recorded(monkeypatch, ScanAttempt, inst, config)
+        assert heap == scan, case
+        log = heap[1]
+        restarted[log[-1]] += sum(line.startswith("restart")
+                                  for line in log) > 1
+    assert restarted["verdict sat"] >= 2 and restarted["verdict unsat"] >= 4
+
+
+def test_backtrack_free_pick_computes_linear_scores(monkeypatch):
+    # the scan visits every unassigned variable at every node, n*(n+1)/2
+    # visits in all, and scores those with weight left: over n**2/4 here
+    # (1.4 million at n = 2400, so it runs at n = 600 only).  The heap
+    # scores each variable a bounded number of times.
+    neq = [(a, b) for a in range(3) for b in range(3) if a != b]
+    for n, attempts in ((600, (HeapAttempt, ScanAttempt)),
+                        (2400, (HeapAttempt,))):
+        chain = Instance.build([[0, 1, 2]] * n,
+                               {(i, i + 1): neq for i in range(n - 1)})
+        for attempt in attempts:
+            scored = []
+
+            class Counted(attempt):
+                def _score(self, i):
+                    scored.append(i)
+                    return super()._score(i)
+
+            picks, log, sol = run_recorded(monkeypatch, Counted, chain)
+            assert is_solution(chain, sol)
+            assert log[-2:] == ["backtracks 0", "verdict sat"]
+            if attempt is ScanAttempt:
+                assert len(scored) > n * n // 4
+            else:
+                assert len(scored) < 5 * n, (n, len(scored))
 
 
 def test_backtrack_free_run_logs_single_restart(star):
