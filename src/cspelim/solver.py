@@ -8,9 +8,9 @@ linear in the search depth (Schulte, "Comparing trailing and copying
 for constraint programming", ICLP 1999).  Weight sums toward unassigned
 neighbours are kept incrementally, and the dom/wdeg pick (Boussemart,
 Hemery, Lecoutre and Sais, ECAI 2004) takes the top of a heap of scores
-that is re-keyed lazily, so a pick costs O(log n) per entry it pops or
-re-keys rather than a scan of every unassigned variable.  Propagation
-is `revise_to_fixpoint`'s reverse-row revise.
+that is re-keyed lazily, so a pick costs O(log n) per entry it pushes,
+pops or re-keys rather than a scan of every unassigned variable.
+Propagation is `revise_to_fixpoint`'s reverse-row revise.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
 """
