@@ -5,6 +5,7 @@ elimination rule to fixpoint, trace output), ``solve`` (preprocessing
 plus MAC search with restarts), ``verify`` (randomized battery checking
 the incremental engines against the naive semantics), and ``compare``
 (per-rule elimination counts and histograms over instance files).
+``preprocess``, ``solve`` and ``compare`` reduce through `solver.preprocess`.
 
 Exit codes: 0 solved/reduced, 20 unsatisfiable, 2 timeout, 1 error.
 """
@@ -14,17 +15,17 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .consistency import eliminate_singletons, enforce_ac
-from .engines import run_engine
+# uncalled: `bench/layers.py` times the names here and is their only reader
+from .consistency import eliminate_singletons, enforce_ac  # noqa: F401
+from .engines import run_engine  # noqa: F401
 from .model import load_instance, open_text, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
                      verify_one)
 from .patterns import RULES
-from .solver import (SearchConfig, TimeBudgetExceeded, mac_solve,
+from .solver import (SearchConfig, TimeBudgetExceeded, mac_solve, preprocess,
                      solve_with_preprocessing)
 from .trace import write_trace
 
@@ -77,30 +78,9 @@ def _write_lines(path, lines) -> None:
 # preprocess
 
 
-def _reduce(inst, rule: str, ns: bool = False):
-    """Arc consistency, singleton removal, then `rule`'s engine to
-    fixpoint.  Returns (reduced instance, AC log, trace entries, sat
-    flag, stage times)."""
-    times = {"ac": 0.0, "singletons": 0.0, "engine": 0.0}
-    t0 = time.perf_counter()
-    cur, ac_log, ok = enforce_ac(inst)
-    times["ac"] = time.perf_counter() - t0
-    entries = []
-    if ok:
-        t1 = time.perf_counter()
-        cur, entries = eliminate_singletons(cur)
-        times["singletons"] = time.perf_counter() - t1
-        if not cur.wiped:
-            t2 = time.perf_counter()
-            cur, rule_entries = run_engine(cur, rule, ns=ns)
-            entries += rule_entries
-            times["engine"] = time.perf_counter() - t2
-    return cur, ac_log, entries, ok and not cur.wiped, times
-
-
 def cmd_preprocess(args) -> int:
     inst = load_instance(args.input)
-    cur, ac_log, entries, sat, times = _reduce(inst, args.rule, args.ns)
+    cur, ac_log, entries, sat, times = preprocess(inst, args.rule, args.ns)
     if args.out:
         save_instance(cur, args.out)
     if args.trace:
@@ -201,7 +181,7 @@ def cmd_compare(args) -> int:
     for path in args.instances:
         inst = load_instance(path)
         for rule in args.rules:
-            eliminated = [entry.var for entry in _reduce(inst, rule)[2]]
+            eliminated = [entry.var for entry in preprocess(inst, rule)[2]]
             pct = 100.0 * len(eliminated) / inst.n if inst.n else 0.0
             rows.append((path, rule, inst.n, len(eliminated), "%.1f" % pct,
                          _histogram(inst.dom_size(i) for i in eliminated),

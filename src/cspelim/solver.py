@@ -13,6 +13,8 @@ pops or re-keys rather than a scan of every unassigned variable.
 Propagation is `revise_to_fixpoint`'s reverse-row revise.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
+`preprocess` (arc consistency, singleton removal, one rule's engine) is
+the one reduction the `preprocess`, `solve` and `compare` commands run.
 """
 
 from __future__ import annotations
@@ -341,28 +343,42 @@ def reconstruct_solution(original: Instance, entries, reduced_solution: dict) ->
 # pipeline
 
 
+def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False):
+    """Arc consistency, singleton removal, then `rule`'s engine to
+    fixpoint (no engine for None or "none").  Returns (reduced instance,
+    AC log, trace entries, sat flag, stage times).  Only arc consistency
+    can wipe a domain: singleton removal and NS cannot on arc-consistent
+    input, and `run_engine` checks its input."""
+    from .engines import run_engine
+
+    times = {"ac": 0.0, "singletons": 0.0, "engine": 0.0}
+    t0 = time.perf_counter()
+    cur, ac_log, sat = enforce_ac(inst)
+    times["ac"] = time.perf_counter() - t0
+    entries = []
+    if sat:
+        t1 = time.perf_counter()
+        cur, entries = eliminate_singletons(cur)
+        t2 = time.perf_counter()
+        times["singletons"] = t2 - t1
+        if rule is not None and rule != "none":
+            cur, rule_entries = run_engine(cur, rule, ns=ns)
+            entries += rule_entries
+            times["engine"] = time.perf_counter() - t2
+    return cur, ac_log, entries, sat, times
+
+
 def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
                              config: Optional[SearchConfig] = None,
                              log: Optional[list] = None) -> Optional[dict]:
-    """Arc consistency, singleton elimination, optional variable
-    elimination under `rule`, MAC on the remainder, then reconstruction
-    back to the original instance.  The time limit covers the whole
-    pipeline: the search gets what preprocessing left of it."""
-    from .engines import run_engine
-
+    """`preprocess` under `rule`, MAC on the remainder, then
+    reconstruction back to the original instance.  The time limit covers
+    the whole pipeline: the search gets what preprocessing left of it."""
     start = time.monotonic()
-    root, _, ok = enforce_ac(inst)
-    if not ok:
+    cur, _, entries, sat, _ = preprocess(inst, rule)
+    if not sat:
         _log_refuted(log)
         return None
-    cur, entries = eliminate_singletons(root)
-    if cur.wiped:
-        _log_refuted(log)
-        return None
-    entries = list(entries)
-    if rule is not None and rule != "none":
-        cur, rule_entries = run_engine(cur, rule)
-        entries.extend(rule_entries)
     if config is not None and config.time_limit is not None:
         left = config.time_limit - (time.monotonic() - start)
         config = dataclasses.replace(config, time_limit=max(0.0, left))

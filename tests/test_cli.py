@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cspelim.solver
 from cspelim import (RULES, brute_force_solve, eliminate_singletons,
                      enforce_ac, format_trace, is_solution, load_instance,
                      naive_fixpoint, parse_trace, save_instance)
@@ -256,7 +257,10 @@ def test_verify_rejects_empty_ranges(capsys):
     assert capsys.readouterr().err == "error: --d-min 5 is above --d-max 4\n"
 
 
-def test_compare_pipeline_counts(tmp_path, capsys):
+def test_compare_pipeline_counts(tmp_path, capsys, monkeypatch):
+    """compare, preprocess and solve run one pipeline: compare counts
+    what preprocess eliminates, singleton removals included, and solve
+    searches exactly the instance preprocess writes."""
     star_path = write_instance(tmp_path, star_instance(5), "star.bcsp")
     gap_path = write_instance(tmp_path, degree_gap_instance(), "gap.bcsp")
     out = str(tmp_path / "compare.csv")
@@ -273,6 +277,49 @@ def test_compare_pipeline_counts(tmp_path, capsys):
     assert star_row[5] == "2:5"        # every eliminated var had 2 values
     assert star_row[6] == "1:4;4:1"    # four leaves and the centre
     assert by_key[(star_path, "exists-snake")][3] == "5"
+
+    # under every rule, on seeded files where arc consistency deletes
+    # values and singleton removal eliminates variables
+    searched = []
+    real_mac_solve = cspelim.solver.mac_solve
+
+    def recording_mac_solve(inst, *args):
+        searched.append(inst)
+        return real_mac_solve(inst, *args)
+
+    monkeypatch.setattr(cspelim.solver, "mac_solve", recording_mac_solve)
+    paths = []
+    ac_deleted = singletons = 0
+    for seed in (2, 3, 6):
+        inst = small_random(seed, n=10, d=3, p1=0.4, p2=0.4)
+        ac, log, ok = enforce_ac(inst)
+        assert ok, seed
+        ac_deleted += len(log)
+        singletons += len(eliminate_singletons(ac)[1])
+        paths.append(write_instance(tmp_path, inst, "r%d.bcsp" % seed))
+    assert ac_deleted > 0 and singletons > 0, (ac_deleted, singletons)
+
+    assert main(["compare", *paths, "--out", out]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        compared = {(r["instance"], r["rule"]): int(r["eliminated"])
+                    for r in csv.DictReader(fh)}
+    for path in paths:
+        for rule in RULES:
+            reduced = str(tmp_path / "reduced.bcsp")
+            assert main(["preprocess", path, "--rule", rule,
+                         "--out", reduced]) == 0
+            report = parse_report(capsys.readouterr().out)
+            assert compared[(path, rule)] == (int(report["vars-before"])
+                                              - int(report["vars-after"]))
+            searched.clear()
+            assert main(["solve", path, "--rule", rule]) in (0, 20)
+            capsys.readouterr()
+            assert len(searched) == 1, (path, rule)
+            handed = str(tmp_path / "searched.bcsp")
+            save_instance(searched[0], handed)
+            with open(reduced, encoding="utf-8") as want, \
+                    open(handed, encoding="utf-8") as got:
+                assert got.read() == want.read(), (path, rule)
 
 
 def test_cli_error_handling(tmp_path, capsys):

@@ -252,6 +252,10 @@ def test_singleton_worklist_matches_rescan():
         if ok:
             got, entries = eliminate_singletons(ac)
             assert (got, entries) == rescan_singletons(ac), seed
+            # on arc-consistent input removal deletes nothing, so
+            # `preprocess` needs no wipeout check after it
+            assert not any(e.deletions for e in entries), seed
+            assert not got.wiped, seed
     assert cascades >= 20 and wipeouts >= 5, (cascades, wipeouts)
 
 

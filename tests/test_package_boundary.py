@@ -6,7 +6,8 @@ read the rule list and ``MIN_LIVE`` from that module and call none of
 its functions, and the tests certify the engines' witnesses.  The
 theory-only checkers and search oracles live in ``tests/theory.py``.
 These tests read the package's source with ``ast`` and pin that
-boundary.
+boundary, and that ``solver.preprocess`` alone runs the preprocessing
+stages in turn.
 """
 
 import ast
@@ -22,6 +23,9 @@ SRC = os.path.join(os.path.dirname(TESTS), "src")
 PATTERN_IMPORTERS = {"__init__.py", "cli.py", "oracle.py", "engines/base.py"}
 # modules allowed to call what they import from it
 CHECKER_CALLERS = {"patterns.py", "oracle.py"}
+
+# the stages of `solver.preprocess`, in the order it runs them
+PIPELINE_STAGES = ("enforce_ac", "eliminate_singletons", "run_engine")
 
 MOVED_TO_THEORY = ("are_isomorphic", "max_eliminations_by_order",
                    "check_ae_broken_polyhedron", "check_1fbtp",
@@ -112,6 +116,33 @@ def test_only_the_reference_fixpoint_calls_the_checkers():
     offenders = sorted(call for call in calls
                        if call[0] not in CHECKER_CALLERS)
     assert not offenders, offenders
+
+
+def stage_calls():
+    """(path relative to src/cspelim, callee) for every call of a
+    preprocessing stage, by plain name or as an attribute."""
+    for rel, _, tree in package_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in PIPELINE_STAGES:
+                    yield rel, name
+
+
+def test_only_solver_preprocess_runs_the_pipeline_stages():
+    """`solver.preprocess` alone runs arc consistency, singleton removal
+    and an engine in turn: the CLI keeps the stage names only for the
+    traced benchmark and calls none of them, and outside `solver.py`
+    only the verify battery in `oracle.py` runs an engine."""
+    calls = set(stage_calls())
+    assert ("solver.py", "run_engine") in calls, \
+        "the walk found no call of an engine"
+    callers = {name: {rel for rel, callee in calls if callee == name}
+               for name in PIPELINE_STAGES}
+    assert not any("cli.py" in rels for rels in callers.values()), callers
+    assert callers["eliminate_singletons"] == {"solver.py"}, callers
+    assert callers["run_engine"] <= {"solver.py", "oracle.py"}, callers
 
 
 def test_package_imports_nothing_from_tests():

@@ -266,9 +266,9 @@ def test_time_limit_counts_preprocessing(monkeypatch):
     # the engine alone outlasts the limit, so the search gets no time
     run_engine = cspelim.engines.run_engine
 
-    def slow_engine(inst, rule):
+    def slow_engine(inst, rule, ns=False):
         time.sleep(0.05)
-        return run_engine(inst, rule)
+        return run_engine(inst, rule, ns=ns)
 
     monkeypatch.setattr(cspelim.engines, "run_engine", slow_engine)
     log = []
