@@ -5,7 +5,8 @@ elimination rule to fixpoint, trace output), ``solve`` (preprocessing
 plus MAC search with restarts), ``verify`` (randomized battery checking
 the incremental engines against the naive semantics), and ``compare``
 (per-rule elimination counts and histograms over instance files).
-``preprocess``, ``solve`` and ``compare`` reduce through `solver.preprocess`.
+``preprocess``, ``solve`` and ``compare`` reduce through `solver.preprocess`,
+and ``solve`` calls `solver.solve_with_preprocessing` for every ``--rule``.
 
 Exit codes: 0 solved/reduced, 20 unsatisfiable, 2 timeout, 1 error.
 """
@@ -21,11 +22,12 @@ from dataclasses import dataclass, field
 # uncalled: `bench/layers.py` times the names here and is their only reader
 from .consistency import eliminate_singletons, enforce_ac  # noqa: F401
 from .engines import run_engine  # noqa: F401
+from .solver import mac_solve  # noqa: F401
 from .model import load_instance, open_text, save_instance
 from .oracle import (SizeGuardExceeded, VERIFY_COLUMNS, battery_ac_instances,
                      verify_one)
 from .patterns import RULES
-from .solver import (SearchConfig, TimeBudgetExceeded, mac_solve, preprocess,
+from .solver import (SearchConfig, TimeBudgetExceeded, preprocess,
                      solve_with_preprocessing)
 from .trace import write_trace
 
@@ -112,10 +114,7 @@ def cmd_solve(args) -> int:
     code = EXIT_OK
     solution = None
     try:
-        if args.rule == "none":
-            solution = mac_solve(inst, cfg, log)
-        else:
-            solution = solve_with_preprocessing(inst, args.rule, cfg, log)
+        solution = solve_with_preprocessing(inst, args.rule, cfg, log)
         verdict = "sat" if solution is not None else "unsat"
         code = EXIT_OK if solution is not None else EXIT_UNSAT
     except TimeBudgetExceeded:

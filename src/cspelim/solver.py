@@ -13,8 +13,9 @@ pops or re-keys rather than a scan of every unassigned variable.
 Propagation is `revise_to_fixpoint`'s reverse-row revise.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
-`preprocess` (arc consistency, singleton removal, one rule's engine) is
-the one reduction the `preprocess`, `solve` and `compare` commands run.
+`preprocess` is the one reduction the `preprocess`, `solve` and
+`compare` commands run, and the one solve path is
+`solve_with_preprocessing`: `preprocess`, `mac_solve`, reconstruction.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ class _Restart(Exception):
 def _log(log, line: str) -> None:
     if log is not None:
         log.append(line)
-
-
-def _log_refuted(log) -> None:
-    """The log of an instance refuted before any search."""
-    _log(log, "backtracks 0")
-    _log(log, "verdict unsat")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +225,10 @@ def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,
     """Solve by MAC with restarts; a solution dict (internal values) or
     None if unsatisfiable.  Raises TimeBudgetExceeded past the limit.
 
+    It searches `inst` as given, with no arc consistency at the root
+    (`preprocess` runs that); each assignment still filters its
+    neighbours, so it is sound and complete on any input.
+
     Restart k allows floor(initial * factor**k) backtracks.  Constraint
     weights persist across restarts.  `log` (a list) receives one
     ``restart <k> <budget>`` line per attempt, then ``backtracks
@@ -239,18 +238,14 @@ def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,
     deadline = None
     if cfg.time_limit is not None:
         deadline = time.monotonic() + cfg.time_limit
-    root, _, ok = enforce_ac(inst)
-    if not ok:
-        _log_refuted(log)
-        return None
-    weights = {pair: 1 for pair in root.pairs()}
-    neighbors = {i: root.neighbors(i) for i in root.variables}
+    weights = {pair: 1 for pair in inst.pairs()}
+    neighbors = {i: inst.neighbors(i) for i in inst.variables}
     total = 0
     k = 0
     while True:
         budget = int(cfg.initial_backtracks * cfg.restart_factor ** k)
         _log(log, "restart %d %d" % (k, budget))
-        attempt = _Attempt(root, neighbors, weights, budget, deadline)
+        attempt = _Attempt(inst, neighbors, weights, budget, deadline)
         try:
             solution = attempt.run()
         except _Restart:
@@ -344,11 +339,11 @@ def reconstruct_solution(original: Instance, entries, reduced_solution: dict) ->
 
 
 def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False):
-    """Arc consistency, singleton removal, then `rule`'s engine to
-    fixpoint (no engine for None or "none").  Returns (reduced instance,
-    AC log, trace entries, sat flag, stage times).  Only arc consistency
-    can wipe a domain: singleton removal and NS cannot on arc-consistent
-    input, and `run_engine` checks its input."""
+    """Arc consistency, then singleton removal and `rule`'s engine to
+    fixpoint; for None or "none", arc consistency only.  Returns
+    (reduced instance, AC log, trace entries, sat flag, stage times).
+    Only arc consistency can wipe a domain: singleton removal and NS
+    cannot on arc-consistent input, and `run_engine` checks its input."""
     from .engines import run_engine
 
     times = {"ac": 0.0, "singletons": 0.0, "engine": 0.0}
@@ -356,15 +351,14 @@ def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False):
     cur, ac_log, sat = enforce_ac(inst)
     times["ac"] = time.perf_counter() - t0
     entries = []
-    if sat:
+    if sat and rule not in (None, "none"):
         t1 = time.perf_counter()
         cur, entries = eliminate_singletons(cur)
         t2 = time.perf_counter()
         times["singletons"] = t2 - t1
-        if rule is not None and rule != "none":
-            cur, rule_entries = run_engine(cur, rule, ns=ns)
-            entries += rule_entries
-            times["engine"] = time.perf_counter() - t2
+        cur, rule_entries = run_engine(cur, rule, ns=ns)
+        entries += rule_entries
+        times["engine"] = time.perf_counter() - t2
     return cur, ac_log, entries, sat, times
 
 
@@ -372,12 +366,15 @@ def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
                              config: Optional[SearchConfig] = None,
                              log: Optional[list] = None) -> Optional[dict]:
     """`preprocess` under `rule`, MAC on the remainder, then
-    reconstruction back to the original instance.  The time limit covers
-    the whole pipeline: the search gets what preprocessing left of it."""
+    reconstruction back to the original instance (for None or "none",
+    MAC on the arc-consistent closure).  A refutation by arc consistency
+    logs no restart.  The time limit covers the whole pipeline: the
+    search gets what preprocessing left of it."""
     start = time.monotonic()
     cur, _, entries, sat, _ = preprocess(inst, rule)
     if not sat:
-        _log_refuted(log)
+        _log(log, "backtracks 0")
+        _log(log, "verdict unsat")
         return None
     if config is not None and config.time_limit is not None:
         left = config.time_limit - (time.monotonic() - start)

@@ -9,7 +9,8 @@ import pytest
 import cspelim.solver
 from cspelim import (RULES, brute_force_solve, eliminate_singletons,
                      enforce_ac, format_trace, is_solution, load_instance,
-                     naive_fixpoint, parse_trace, save_instance)
+                     naive_fixpoint, parse_trace, save_instance,
+                     solve_with_preprocessing)
 from cspelim.cli import main
 from conftest import (broken_triangle_instance, clique_instance,
                       degree_gap_instance, small_random, star_instance)
@@ -260,7 +261,8 @@ def test_verify_rejects_empty_ranges(capsys):
 def test_compare_pipeline_counts(tmp_path, capsys, monkeypatch):
     """compare, preprocess and solve run one pipeline: compare counts
     what preprocess eliminates, singleton removals included, and solve
-    searches exactly the instance preprocess writes."""
+    searches exactly the instance preprocess writes.  With no rule, the
+    CLI and the library alike search the arc-consistent closure."""
     star_path = write_instance(tmp_path, star_instance(5), "star.bcsp")
     gap_path = write_instance(tmp_path, degree_gap_instance(), "gap.bcsp")
     out = str(tmp_path / "compare.csv")
@@ -321,6 +323,21 @@ def test_compare_pipeline_counts(tmp_path, capsys, monkeypatch):
                     open(handed, encoding="utf-8") as got:
                 assert got.read() == want.read(), (path, rule)
 
+        closure = str(tmp_path / "closure.bcsp")
+        inst = load_instance(path)
+        save_instance(enforce_ac(inst)[0], closure)
+        searched.clear()
+        assert main(["solve", path, "--rule", "none"]) in (0, 20)
+        capsys.readouterr()
+        solve_with_preprocessing(inst, None)
+        assert len(searched) == 2, path
+        for caller, handed_inst in zip(("cli", "library"), searched):
+            handed = str(tmp_path / "searched.bcsp")
+            save_instance(handed_inst, handed)
+            with open(closure, encoding="utf-8") as want, \
+                    open(handed, encoding="utf-8") as got:
+                assert got.read() == want.read(), (path, caller)
+
 
 def test_cli_error_handling(tmp_path, capsys):
     assert main(["preprocess", str(tmp_path / "missing.bcsp"),
@@ -346,7 +363,7 @@ def test_cli_reports_unexpected_errors(tmp_path, capsys, monkeypatch):
     def deep_search(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("cspelim.cli.mac_solve", deep_search)
+    monkeypatch.setattr("cspelim.solver.mac_solve", deep_search)
     path = write_instance(tmp_path, star_instance(3))
     assert main(["solve", path, "--rule", "none"]) == 1
     err = capsys.readouterr().err

@@ -26,6 +26,8 @@ CHECKER_CALLERS = {"patterns.py", "oracle.py"}
 
 # the stages of `solver.preprocess`, in the order it runs them
 PIPELINE_STAGES = ("enforce_ac", "eliminate_singletons", "run_engine")
+# the stages plus the search `solve_with_preprocessing` hands their result to
+WATCHED_CALLS = PIPELINE_STAGES + ("mac_solve",)
 
 MOVED_TO_THEORY = ("are_isomorphic", "max_eliminations_by_order",
                    "check_ae_broken_polyhedron", "check_1fbtp",
@@ -119,30 +121,41 @@ def test_only_the_reference_fixpoint_calls_the_checkers():
 
 
 def stage_calls():
-    """(path relative to src/cspelim, callee) for every call of a
-    preprocessing stage, by plain name or as an attribute."""
+    """(path relative to src/cspelim, enclosing top-level definition or
+    None, callee) for every call of a preprocessing stage or of
+    `mac_solve`, by plain name or as an attribute."""
     for rel, _, tree in package_modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name in PIPELINE_STAGES:
-                    yield rel, name
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in WATCHED_CALLS:
+                        yield rel, owner, name
 
 
 def test_only_solver_preprocess_runs_the_pipeline_stages():
     """`solver.preprocess` alone runs arc consistency, singleton removal
-    and an engine in turn: the CLI keeps the stage names only for the
-    traced benchmark and calls none of them, and outside `solver.py`
-    only the verify battery in `oracle.py` runs an engine."""
+    and an engine in turn, and `solve_with_preprocessing` alone hands
+    its result to MAC: the CLI keeps the stage names and `mac_solve`
+    only for the traced benchmark and calls none of them, MAC runs no
+    arc consistency of its own, and outside `solver.py` only the verify
+    battery in `oracle.py` runs an engine."""
     calls = set(stage_calls())
-    assert ("solver.py", "run_engine") in calls, \
+    assert ("solver.py", "preprocess", "run_engine") in calls, \
         "the walk found no call of an engine"
-    callers = {name: {rel for rel, callee in calls if callee == name}
-               for name in PIPELINE_STAGES}
+    callers = {name: {rel for rel, _, callee in calls if callee == name}
+               for name in WATCHED_CALLS}
     assert not any("cli.py" in rels for rels in callers.values()), callers
     assert callers["eliminate_singletons"] == {"solver.py"}, callers
     assert callers["run_engine"] <= {"solver.py", "oracle.py"}, callers
+    in_solver = {name: {owner for rel, owner, callee in calls
+                        if rel == "solver.py" and callee == name}
+                 for name in ("enforce_ac", "mac_solve")}
+    assert in_solver["enforce_ac"] == {"preprocess"}, in_solver
+    assert callers["mac_solve"] == {"solver.py"}, callers
+    assert in_solver["mac_solve"] == {"solve_with_preprocessing"}, in_solver
 
 
 def test_package_imports_nothing_from_tests():

@@ -104,7 +104,8 @@ def test_search_order_is_pinned():
         inst = random_instance(GeneratorConfig(
             30 + seed % 11, 8, 0.25, (0.28, 0.37)[seed % 2], seed))
         log = []
-        sol = mac_solve(inst, SearchConfig(initial_backtracks=10), log)
+        sol = solve_with_preprocessing(
+            inst, "none", SearchConfig(initial_backtracks=10), log)
         verdicts.add(log[-1])
         restarted += sum(line.startswith("restart") for line in log) > 1
         if sol is not None:
@@ -240,7 +241,7 @@ def test_backtrack_free_run_logs_single_restart(star):
 
 def test_root_wipeout_skips_search(bt_inst):
     log = []
-    assert mac_solve(bt_inst, log=log) is None
+    assert solve_with_preprocessing(bt_inst, "none", log=log) is None
     assert log == ["backtracks 0", "verdict unsat"]
 
 
