@@ -31,14 +31,16 @@ class Deletion:
 
 
 def is_arc_consistent(inst: Instance) -> bool:
-    """Every live value has a support at every constraining variable."""
-    for i in inst.variables:
-        if not inst.dom(i):
-            return False
-        for j in inst.neighbors(i):
-            for v in inst.dom(i):
-                if not inst.row(i, j, v):
-                    return False
+    """Every live value has a support at every constraining variable:
+    no domain is empty and, for every stored constraint (i, j), every
+    live value of x_i has a row meeting the live domain of x_j."""
+    if inst.wiped:
+        return False
+    for (i, j), rows in inst.relations.items():
+        mask = inst.dom_mask(j)
+        for v in inst.dom(i):
+            if not rows[v] & mask:
+                return False
     return True
 
 

@@ -13,9 +13,9 @@ names and are used by the text format.
 
 from __future__ import annotations
 
-import io
 import os
 from contextlib import contextmanager
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, TextIO, Union
 
 
@@ -290,21 +290,26 @@ def parse_instance(text: str) -> Instance:
     first non-blank character is '#', are skipped; a '#' after a token
     is not a comment.  Declared pairs not listed are forbidden;
     undeclared variable pairs are complete.  Nothing after 'end' is read.
+
+    One cursor walks the raw lines.  Each line of a pair block is first
+    looked up in a table from the canonical "a b" to its row bits, which
+    holds no more entries than the text has lines; a block with any other
+    line (a comment, a blank, extra spaces, '+1', '01') is read again
+    token by token.
     """
     lines = text.splitlines()
-    body = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    # the line number of each line in body
-    where = (range(1, len(body) + 1) if len(body) == len(lines) else
-             [k for k, s in enumerate(map(str.strip, lines), 1)
-              if s and s[0] != "#"])
+    end = len(lines)
     pos = 0
 
     def next_tokens() -> tuple[int, list[str]]:
+        """The line number and tokens of the next significant line."""
         nonlocal pos
-        if pos == len(body):
-            raise FormatError("unexpected end of input", len(lines))
-        pos += 1
-        return where[pos - 1], body[pos - 1].split()
+        while pos < end:
+            tok = lines[pos].split()
+            pos += 1
+            if tok and tok[0][0] != "#":
+                return pos, tok
+        raise FormatError("unexpected end of input", end)
 
     def ints(tokens: list[str], lineno: int) -> list[int]:
         try:
@@ -344,13 +349,10 @@ def parse_instance(text: str) -> Instance:
         domains[i] = rest
 
     inst = Instance.build([domains[i] for i in range(n)])
-    # One lookup table per pair of distinct domains maps the canonical
-    # spelling "a b" of a pair to its internal (pa, pb).  All tables
-    # together hold no more entries than the text has lines, so wide
-    # domains with few allowed pairs cost no more than reading them.
-    names = inst._values
-    tables: dict[tuple[tuple[int, ...], ...], dict[str, tuple[int, int]]] = {}
-    budget = len(body)
+    names = [tuple(inst._values[i]) for i in range(n)]
+    # (names of x_i, names of x_j) -> {"a b": (pa, 1 << pb, pb, 1 << pa)}
+    tables: dict[tuple[tuple[int, ...], ...], dict[str, tuple]] = {}
+    budget = end
 
     while True:
         lineno, tok = next_tokens()
@@ -368,58 +370,40 @@ def parse_instance(text: str) -> Instance:
             raise FormatError("self constraint on variable %d" % i, lineno)
         if t < 0:
             raise FormatError("negative pair count", lineno)
-        rows = None
-        if pos + t <= len(body) and (i, j) not in inst._rows:
-            key = (tuple(names[i]), tuple(names[j]))
+        if pos + t <= end and (i, j) not in inst._rows:
+            ni, nj = key = names[i], names[j]
             table = tables.get(key)
-            size = len(names[i]) * len(names[j])
-            if table is None and size <= budget:
-                budget -= size
+            if table is None and len(ni) * len(nj) <= budget:
+                budget -= len(ni) * len(nj)
                 table = tables[key] = {
-                    "%d %d" % (a, b): (pa, pb)
-                    for pa, a in enumerate(names[i])
-                    for pb, b in enumerate(names[j])}
+                    "%d %d" % (a, b): (pa, 1 << pb, pb, 1 << pa)
+                    for pa, a in enumerate(ni) for pb, b in enumerate(nj)}
             if table is not None:
-                rows = _canonical_rows(body[pos:pos + t], table,
-                                       len(names[i]), len(names[j]))
-        if rows is not None:
-            pos += t
-            inst._store_relation(i, j, *rows)
-            continue
+                fwd, rev = [0] * len(ni), [0] * len(nj)
+                try:
+                    for pa, bit_b, pb, bit_a in map(table.__getitem__, lines[pos:pos + t]):
+                        fwd[pa] |= bit_b
+                        rev[pb] |= bit_a
+                except KeyError:
+                    pass  # not canonical: read the block token by token
+                else:
+                    pos += t
+                    inst._store_relation(i, j, fwd, rev)
+                    continue
         allowed = []
-        for k in range(pos, min(pos + t, len(body))):
-            ptok = body[k].split()
+        for _ in range(t):
+            at, ptok = next_tokens()
             try:
                 a, b = map(int, ptok)
             except ValueError:
-                ints(ptok, where[k])  # a bad token is reported first
-                raise FormatError("expected '<a> <b>' pair", where[k]) from None
+                ints(ptok, at)  # a bad token is reported first
+                raise FormatError("expected '<a> <b>' pair", at) from None
             allowed.append((a, b))
-        pos += t
-        if pos > len(body):
-            raise FormatError("unexpected end of input", len(lines))
         try:
             inst._add_relation(i, j, allowed)
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
     return inst
-
-
-def _canonical_rows(block: list[str], table: dict[str, tuple[int, int]],
-                    size_i: int, size_j: int):
-    """The (fwd, rev) bit rows of a block of pair lines, each looked up
-    in `table` ("a b" -> internal (pa, pb)); None when a line is not
-    there, which leaves the block to the general reading."""
-    fwd = [0] * size_i
-    rev = [0] * size_j
-    try:
-        for line in block:
-            pa, pb = table[line]
-            fwd[pa] |= 1 << pb
-            rev[pb] |= 1 << pa
-    except KeyError:
-        return None
-    return fwd, rev
 
 
 def load_instance(source: Source) -> Instance:
@@ -428,41 +412,57 @@ def load_instance(source: Source) -> Instance:
         return parse_instance(fh.read())
 
 
+def pair_writer(inst: Instance):
+    """``pairs(i, j, rows, values, mask=-1)`` -> (count, text): lines "a b"
+    in external names, for each v of x_i in `values` one per set bit b of
+    ``rows[v] & mask``, ascending.  A writer spells "a " and "b\\n" once per
+    value of each variable it meets (tables linear in the domains); a row
+    is one join over its bits with "a " as separator, nothing per pair."""
+    heads, tails = {}, {}
+    one = "1".__eq__
+
+    def pairs(i: int, j: int, rows, values, mask: int = -1):
+        head = heads.get(i) or heads.setdefault(i, ["%d " % a for a in inst._values[i]])
+        tail = tails.get(j) or tails.setdefault(j, ["%d\n" % b for b in inst._values[j]])
+        blocks = []
+        for v in values:
+            r = rows[v] & mask
+            if r:
+                a = head[v]
+                # bin(r)[:1:-1] is r's bits, lowest first
+                blocks.append(a + a.join(compress(tail, map(one, bin(r)[:1:-1]))))
+        text = "".join(blocks)
+        return text.count("\n"), text
+
+    return pairs
+
+
 def format_instance(inst: Instance) -> str:
     """Serialize an instance; renumbers variables to 0..n-1 if needed.
 
     When renumbering happens a '# source-vars:' comment records the
     original indices in new-index order.  Pairs are written straight from
-    the bit rows, in ascending order of external names: ``build`` sorts
-    each domain's names, so internal value order is name order, and both
-    the live domain and the bits of a row are read in ascending order.
+    the bit rows by one ``pair_writer`` per call, whose name tables die
+    with the call, in ascending order of external names: ``build`` sorts
+    each domain's names, so internal value order is name order, and the
+    live domain and a row's bits are read in ascending order.
     """
     live = list(inst.variables)
     renum = {old: new for new, old in enumerate(live)}
-    out = io.StringIO()
+    out = []
     if live != list(range(len(live))):
-        out.write("# source-vars: %s\n" % " ".join(str(v) for v in live))
-    out.write("BCSP 1\n")
-    out.write("vars %d\n" % len(live))
-    spelled = {}
+        out.append("# source-vars: %s\n" % " ".join(map(str, live)))
+    out.append("BCSP 1\nvars %d\n" % len(live))
     for old in live:
         names = inst.value_names(old)
-        out.write("dom %d %d %s\n" % (renum[old], len(names),
-                                      " ".join(str(v) for v in names)))
-        spelled[old] = ["%d" % v for v in inst._values[old]]
+        out.append("dom %d %d %s\n" % (renum[old], len(names), " ".join(map(str, names))))
+    pairs = pair_writer(inst)
     for i, j in inst.pairs():
-        rows = inst._rows[(i, j)]
-        mask = inst._mask[j]
-        names_i, names_j = spelled[i], spelled[j]
-        allowed = []
-        for v in inst._dom[i]:
-            prefix = names_i[v] + " "
-            allowed.extend(prefix + names_j[w] for w in iter_bits(rows[v] & mask))
-        out.write("con %d %d %d\n" % (renum[i], renum[j], len(allowed)))
-        for line in allowed:
-            out.write(line + "\n")
-    out.write("end\n")
-    return out.getvalue()
+        count, text = pairs(i, j, inst._rows[i, j], inst._dom[i], inst._mask[j])
+        out.append("con %d %d %d\n" % (renum[i], renum[j], count))
+        out.append(text)
+    out.append("end\n")
+    return "".join(out)
 
 
 def save_instance(inst: Instance, target: Source) -> None:

@@ -27,7 +27,7 @@ import io
 from dataclasses import dataclass
 
 from .consistency import Deletion
-from .model import Instance, iter_bits, open_text
+from .model import Instance, open_text, pair_writer
 
 TRACE_RULES = ("singleton", "exists-snake", "de-snake", "triangle",
                "bt-degree", "aebtp")
@@ -118,6 +118,7 @@ def _witness_lines(inst: Instance, entry: TraceEntry) -> list[str]:
 def format_trace(entries, inst: Instance, pre_deletions=()) -> str:
     """Serialize a trace.  `inst` supplies external value names; it must
     share the variable/value universe the entries were produced on."""
+    pairs = pair_writer(inst)
     out = io.StringIO()
     out.write("TRACE 1\n")
     for d in pre_deletions:
@@ -130,13 +131,10 @@ def format_trace(entries, inst: Instance, pre_deletions=()) -> str:
                          for v in entry.dom_snapshot)
         out.write("snapvar %d %d %s\n" % (entry.var, len(entry.dom_snapshot), names))
         for j in sorted(entry.rel_snapshot):
-            rows = entry.rel_snapshot[j]
-            pairs = [(inst.value_name(entry.var, v), inst.value_name(j, b))
-                     for v in entry.dom_snapshot
-                     for b in iter_bits(rows[v])]
-            out.write("snaprel %d %d\n" % (j, len(pairs)))
-            for a, b in pairs:
-                out.write("%d %d\n" % (a, b))
+            count, text = pairs(entry.var, j, entry.rel_snapshot[j],
+                                entry.dom_snapshot)
+            out.write("snaprel %d %d\n" % (j, count))
+            out.write(text)
         for d in entry.deletions:
             out.write("del %d %d %s\n" % (d.var, inst.value_name(d.var, d.value), d.cause))
     out.write("end\n")

@@ -100,6 +100,60 @@ def test_enforce_ac_matches_slow_fixpoint():
         assert {i: inst.dom(i) for i in inst.variables} == before
 
 
+def reference_is_arc_consistent(inst):
+    """The scan `is_arc_consistent` replaced: every variable in order,
+    every neighbour, every live value through ``row``."""
+    for i in inst.variables:
+        if not inst.dom(i):
+            return False
+        for j in inst.neighbors(i):
+            for v in inst.dom(i):
+                if not inst.row(i, j, v):
+                    return False
+    return True
+
+
+def test_is_arc_consistent_matches_reference_scan():
+    """Raw, arc-consistent and wiped instances, each also with removed
+    variables and with a deleted value, and wiped variables left without
+    neighbours, give the reference's answer."""
+    bases = []
+    for seed in range(30):
+        raw = small_random(seed, n=6, d=3, p2=0.55)
+        bases += [raw, enforce_ac(raw)[0]]
+    for seed in range(3):
+        for inst in structured_families(seed, 12).values():
+            bases += [inst, enforce_ac(inst)[0]]
+    cases = []
+    for k, base in enumerate(bases):
+        rng = random.Random(k)
+        cases.append(base)
+        cut = base.copy()
+        for i in rng.sample(cut.variables, 2):
+            cut.remove_variable(i)
+        cases.append(cut)
+        shrunk = base.copy()
+        live = [(i, v) for i in shrunk.variables for v in shrunk.dom(i)]
+        if live:
+            shrunk.delete_value(*rng.choice(live))
+        cases.append(shrunk)
+        # a wiped variable whose neighbours are all gone
+        for i in base.variables:
+            if not base.dom(i):
+                bare = base.copy()
+                for j in bare.neighbors(i):
+                    bare.remove_variable(j)
+                cases.append(bare)
+                break
+    answers = {True: 0, False: 0, "wiped": 0}
+    for case, inst in enumerate(cases):
+        got = is_arc_consistent(inst)
+        assert got == reference_is_arc_consistent(inst), case
+        answers[got] += 1
+        answers["wiped"] += inst.wiped
+    assert min(answers.values()) >= 10, answers
+
+
 # sha256 of the wipeout arc, the live masks at that point and the AC
 # deletion log of every wiped case, recorded with the per-value revise
 # that the reverse-row revise replaced

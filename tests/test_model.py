@@ -241,6 +241,24 @@ def test_parse_memory_stays_linear_in_the_text():
     assert peak < 1_000_000, peak
 
 
+def test_format_memory_stays_linear_on_wide_domains():
+    """Wide domains with a short constraint block: the writer builds no
+    table of d_i * d_j pair strings."""
+    wide = list(range(0, 900, 3))
+    inst = Instance.build([wide, wide], {(0, 1): [(3, 6), (9, 0)]})
+    dom = " ".join(map(str, wide))
+    want = ("BCSP 1\nvars 2\ndom 0 300 %s\ndom 1 300 %s\n"
+            "con 0 1 2\n3 6\n9 0\nend\n" % (dom, dom))
+    tracemalloc.start()
+    try:
+        text = format_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == want
+    assert peak < 1_000_000, peak
+
+
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b1011)) == [0, 1, 3]

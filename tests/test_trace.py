@@ -5,10 +5,13 @@ import random
 
 import pytest
 
-from cspelim import (Deletion, enforce_ac, format_trace, naive_fixpoint,
-                     parse_trace, run_engine, write_trace)
+from cspelim import (RULES, Deletion, Instance, enforce_ac, format_trace,
+                     iter_bits, naive_fixpoint, parse_trace, run_engine,
+                     write_trace)
 from cspelim.consistency import CAUSE_AC
-from conftest import small_random, star_instance
+from cspelim.solver import preprocess
+from cspelim.trace import _witness_lines
+from conftest import small_random, star_instance, structured_families
 
 
 def traced_run(seed, rule, ns=False):
@@ -47,6 +50,70 @@ def test_round_trip_with_interleaved_deletions():
         assert back == entries
         assert pre == log
     assert hit  # at least one run exercised attached deletions
+
+
+def reference_format_trace(entries, inst, pre_deletions=()):
+    """`format_trace` as it was when it spelled one pair per line."""
+    out = io.StringIO()
+    out.write("TRACE 1\n")
+    for d in pre_deletions:
+        out.write("del %d %d %s\n" % (d.var, inst.value_name(d.var, d.value), d.cause))
+    for entry in entries:
+        out.write("elim %s %d\n" % (entry.rule, entry.var))
+        for line in _witness_lines(inst, entry):
+            out.write(line + "\n")
+        names = " ".join(str(inst.value_name(entry.var, v))
+                         for v in entry.dom_snapshot)
+        out.write("snapvar %d %d %s\n" % (entry.var, len(entry.dom_snapshot), names))
+        for j in sorted(entry.rel_snapshot):
+            rows = entry.rel_snapshot[j]
+            pairs = [(inst.value_name(entry.var, v), inst.value_name(j, b))
+                     for v in entry.dom_snapshot
+                     for b in iter_bits(rows[v])]
+            out.write("snaprel %d %d\n" % (j, len(pairs)))
+            for a, b in pairs:
+                out.write("%d %d\n" % (a, b))
+        for d in entry.deletions:
+            out.write("del %d %d %s\n" % (d.var, inst.value_name(d.var, d.value), d.cause))
+    out.write("end\n")
+    return out.getvalue()
+
+
+def renamed(inst):
+    """`inst` with every value name a written as 3a + 1."""
+    doms = [[3 * a + 1 for a in inst.value_names(i)] for i in inst.variables]
+    cons = {(i, j): [(3 * inst.value_name(i, v) + 1, 3 * inst.value_name(j, w) + 1)
+                     for v in inst.dom(i) for w in iter_bits(inst.row(i, j, v))]
+            for i, j in inst.pairs()}
+    return Instance.build(doms, cons)
+
+
+def test_trace_text_matches_the_reference_writer():
+    """Every rule's traces, with and without NS, over the structured
+    families and seeded random instances (also under shifted value
+    names) are written byte for byte as the per-pair writer did."""
+    cases = [inst for seed in range(2)
+             for inst in structured_families(seed, 12).values()]
+    cases += [small_random(seed, n=7, d=3, p2=0.45) for seed in range(16)]
+    cases += [renamed(inst) for inst in cases[::3]]
+    seen = {"AC del": 0, "umap": 0, "vmap": 0, "shrunk snaprel": 0}
+    for rule in RULES:
+        for ns in (False, True):
+            for case, inst in enumerate(cases):
+                _, log, entries, sat, _ = preprocess(inst, rule, ns=ns)
+                if not sat:
+                    continue
+                text = format_trace(entries, inst, pre_deletions=log)
+                assert text == reference_format_trace(entries, inst, log), (
+                    rule, ns, case)
+                seen["AC del"] += bool(log)
+                seen["umap"] += "\numap " in text
+                seen["vmap"] += "\nvmap " in text
+                lost = {d.var for d in log}
+                for entry in entries:
+                    seen["shrunk snaprel"] += bool(lost & entry.rel_snapshot.keys())
+                    lost.update(d.var for d in entry.deletions)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_trace_text_shape(star):
