@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -198,7 +199,10 @@ def cmd_compare(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: building
+    it costs about ten times as much as parsing one command line."""
     parser = argparse.ArgumentParser(
         prog="cspelim",
         description="Satisfiability-conserving variable elimination for "
@@ -214,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", action="store_true",
                    help="interleave neighbourhood substitution after each "
                         "elimination")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("solve", help="preprocess then run MAC with restarts")
     p.add_argument("input", help="BCSP instance file")
@@ -227,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock limit in seconds")
     p.add_argument("--log", help="write the search log here")
     p.add_argument("--out", help="write the solution file here (default stdout)")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify",
                        help="randomized engine-vs-reference battery")
@@ -242,14 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, nargs="+", default=[0.3, 0.5, 0.7])
     p.add_argument("--out", help="write the CSV report here (default stdout)")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare",
                        help="per-rule elimination counts over instance files")
     p.add_argument("instances", nargs="+", help="BCSP instance files")
     p.add_argument("--rules", nargs="+", choices=RULES, default=list(RULES))
     p.add_argument("--out", help="write the CSV report here (default stdout)")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -261,7 +261,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound `cmd_*` is the one called
+        return globals()["cmd_" + args.command](args)
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

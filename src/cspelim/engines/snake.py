@@ -1,13 +1,21 @@
 """Incremental engines for the two snake rules.
 
-Both rest on one table, `vars_plus_minus`: for each ordered value pair
-(v_j, v'_j) of x_j, the mask over variable index of the neighbours x_k
-of x_j where v_j has a compatible value that v'_j lacks, i.e. where
-replacing v_j by v'_j would lose support.  The pair is "bad for x_i"
-while its mask holds a live variable other than x_i (`live[0]` is the
-mask of live variables); eliminations only ever clear that.  Entries
-are built on first read (`loss_mask`), exact as rows never change in a
-run and every read masks with `live[0]`; most are never built.
+Both rest on one table of dominance masks.  For a value v of x_j and a
+neighbour x_k of x_j, nd_k(v) is the mask over D(x_j) of the values v'
+whose row toward x_k lacks a value that v's row has:
+
+    nd_k(v) = D(x_j) & ~AND_{b in row(j, k, v)} row(k, j, b)
+
+so replacing v by v' loses support at x_k exactly when v' is in
+nd_k(v) (the per-neighbour test of neighbourhood substitutability,
+Cooper, AIJ 1997).  The pair (v, v') is "bad for x_i" while v' is in
+nd_k(v) for some live x_k other than x_i; one OR over those neighbours
+answers it for every v' at once.  `dominated` builds the masks of
+(j, v) one neighbour at a time, in x_j's neighbour order, and only as
+far as a read needs; a neighbour already gone gets 0, as no read looks
+at it again.  Exact: rows and domains never change in a run, and every
+read skips gone neighbours (`live[0]` is the mask of live variables);
+eliminations only ever shrink the OR.
 
 Each value v_i of x_i has one watched scan (see `base.py`).  The
 existential rule scans the pairs (v_j incompatible, v'_j compatible
@@ -30,62 +38,88 @@ from ..trace import DeSnakeWitness, SnakeWitness
 from .base import Engine
 
 
-def loss_mask(inst, vpm: dict, j: int, v: int, vp: int) -> int:
-    """The loss mask of (v, v') at x_j; `vpm[j]` holds x_j's neighbours,
-    its rows per value and the masks built so far."""
-    if j not in vpm:
-        nbrs = inst.neighbors(j)
-        vpm[j] = (nbrs, {u: [inst.row(j, k, u) for k in nbrs]
-                         for u in inst.dom(j)}, {})
-    nbrs, rows, masks = vpm[j]
-    if (v, vp) not in masks:
-        masks[(v, vp)] = sum(1 << k for k, a, b in
-                             zip(nbrs, rows[v], rows[vp]) if a & ~b)
-    return masks[(v, vp)]
+def dominance(inst, j: int, k: int, v: int) -> int:
+    """nd_k(v) at x_j, or 0 once x_k is gone."""
+    rel = inst.relations
+    rows_kj = rel.get((k, j))
+    if rows_kj is None:
+        return 0
+    r = rel[(j, k)][v] & inst.dom_mask(k)
+    both = dom_j = inst.dom_mask(j)
+    while r:
+        low = r & -r
+        both &= rows_kj[low.bit_length() - 1]
+        r ^= low
+    return dom_j ^ both
 
 
-def _bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
+def dominated(inst, live: list, tables: tuple, i: int, j: int, v: int,
+              want: int) -> int:
+    """The OR of nd_k(v) at x_j over the live neighbours x_k other than
+    x_i, or, once it covers `want`, the OR over the neighbours read so
+    far.  `tables` is (x_j -> x_j's neighbours at initialisation,
+    (j, v) -> the masks built so far, one per neighbour in order)."""
+    nbrs, nd = tables
+    masks = nd.get((j, v))
+    if masks is None:
+        masks = nd[(j, v)] = []
+    others = live[0] & ~(1 << i)
+    acc = 0
+    for idx, k in enumerate(nbrs[j]):
+        if idx == len(masks):
+            masks.append(dominance(inst, j, k, v))
+        if others >> k & 1:
+            acc |= masks[idx]
+            if not want & ~acc:
+                return acc
+    return acc
+
+
+def _bad_pairs(inst, live: list, tables: tuple, i: int, v_i: int):
     """The pairs (j, v_j, v'_j) that are bad for x_i with v_j forbidden
     and v'_j allowed by v_i, in scan order."""
-    others = ~(1 << i)
-    for j in inst.neighbors(i):
+    for j in tables[0][i]:
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
-            for vp_j in iter_bits(row):
-                while (live[0] >> j & 1 and others & live[0]
-                       & loss_mask(inst, vpm, j, v_j, vp_j)):
-                    yield j, v_j, vp_j
+            rest = row  # v'_j from the watched one up
+            while rest and live[0] >> j & 1:
+                bad = rest & dominated(inst, live, tables, i, j, v_j,
+                                       rest & -rest)
+                if not bad:
+                    break
+                low = bad & -bad
+                yield j, v_j, low.bit_length() - 1
+                rest &= -low
 
 
-def _replacement(inst, live: list, vpm: dict, i: int, j: int, v_j: int,
+def _replacement(inst, live: list, tables: tuple, i: int, j: int, v_j: int,
                  row: int):
     """The first v'_j in `row` (the values of x_j allowed by v_i) that
     is bad for nobody but x_i as replacement of v_j, or None."""
-    others = ~(1 << i)
-    return next((vp_j for vp_j in iter_bits(row) if not
-                 others & live[0] & loss_mask(inst, vpm, j, v_j, vp_j)),
-                None)
+    free = row & ~dominated(inst, live, tables, i, j, v_j, row)
+    return (free & -free).bit_length() - 1 if free else None
 
 
-def _unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
+def _unreplaced(inst, live: list, tables: tuple, i: int, v_i: int):
     """The (j, v_j) with v_j forbidden by v_i and every v'_j allowed by
     v_i bad for x_i, in scan order."""
-    for j in inst.neighbors(i):
+    for j in tables[0][i]:
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
             while live[0] >> j & 1 and _replacement(
-                    inst, live, vpm, i, j, v_j, row) is None:
+                    inst, live, tables, i, j, v_j, row) is None:
                 yield j, v_j
 
 
 class _SnakeEngine(Engine):
-    """The loss-mask table, one scan per value and the distance-two
+    """The dominance-mask table, one scan per value and the distance-two
     `propagate`.  Subclasses set `rule` and `scan`."""
 
     def initialise(self) -> None:
         inst = self.inst
-        # j -> (neighbours, rows per value, {(v, v'): loss mask})
-        self.vars_plus_minus = vpm = {}
+        # (x_j -> neighbours, (j, v) -> dominance masks), see `dominated`
+        self.tables = tables = ({i: inst.neighbors(i)
+                                 for i in inst.variables}, {})
         # the mask of live variables, in a list so that the scans see it
         # shrink
         self.live = [sum(1 << i for i in inst.variables)]
@@ -93,7 +127,7 @@ class _SnakeEngine(Engine):
             for v_i in inst.dom(i):
                 if i in self._queued:  # one value is enough
                     break
-                self.watch(i, v_i, self.scan(inst, self.live, vpm, i, v_i))
+                self.watch(i, v_i, self.scan(inst, self.live, tables, i, v_i))
 
     def propagate(self, var: int, neighbors: list) -> None:
         self.live[0] &= ~(1 << var)
@@ -130,5 +164,5 @@ class DeSnakeEngine(_SnakeEngine):
             row = inst.row(i, j, v_i)
             for v_j in iter_bits(inst.dom_mask(j) & ~row):
                 u_map[(j, v_j)] = _replacement(
-                    inst, self.live, self.vars_plus_minus, i, j, v_j, row)
+                    inst, self.live, self.tables, i, j, v_j, row)
         return DeSnakeWitness(v_i, u_map)

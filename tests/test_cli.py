@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
 import threading
 from types import SimpleNamespace
 
@@ -368,3 +371,44 @@ def test_cli_reports_unexpected_errors(tmp_path, capsys, monkeypatch):
     assert main(["solve", path, "--rule", "none"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "recursion" in err
+
+
+def test_kept_parser_answers_as_fresh_ones(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser on the first call, not at import, and
+    keeps it: `--help` twice, a bad command line, then a good
+    `preprocess` give the exit codes and output of a parser built afresh
+    for each call.  A `cmd_*` rebound after the parser was built is the
+    one called."""
+    import cspelim.cli as cli
+
+    lazy = ("import cspelim.cli as cli; "
+            "assert cli.build_parser.cache_info().currsize == 0")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", lazy], env=env, check=True)
+
+    path = write_instance(tmp_path, star_instance(5))
+    argvs = (["--help"], ["preprocess", "--help"], ["--help"],
+             ["preprocess", path, "--rule", "no-such-rule"],
+             ["preprocess", path, "--rule", "de-snake"])
+
+    def session():
+        answers = []
+        for argv in argvs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            out = [line for line in out.splitlines()
+                   if not line.startswith("time-")]
+            answers.append((code, out, err))
+        return answers
+
+    kept = session()
+    assert [code for code, _, _ in kept] == [0, 0, 0, 1, 0]
+    assert cli.build_parser() is cli.build_parser()
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert session() == kept
+    called = []
+    monkeypatch.setattr(cli, "cmd_preprocess",
+                        lambda args: called.append(args.input) or 0)
+    assert main(list(argvs[-1])) == 0 and called == [path]

@@ -13,6 +13,7 @@ import pytest
 import cspelim.engines.aebtp as aebtp_engine
 import cspelim.engines.base as engine_base
 import cspelim.engines.bt_degree as bt_degree_engine
+import cspelim.engines.snake as snake_engine
 from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
                      NotArcConsistentError, RULES, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
@@ -22,6 +23,7 @@ from cspelim.engines.triangle import TriangleEngine, _candidates, _losses
 from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
 from cspelim.patterns import checker_accepts, justifies
+from cspelim.trace import DeSnakeWitness
 from conftest import (random_tree_instance, small_random, star_instance,
                       structured_families)
 
@@ -268,10 +270,12 @@ def d9_and_dense_cases():
                     for seed in range(20)]
 
 
-def run_checking_every_step(monkeypatch, rule, cases, check) -> int:
+def run_checking_every_step(monkeypatch, rule, cases, check,
+                            ns=False) -> int:
     """Run `rule`'s engine on each case, every other one after singleton
     removal, calling check(engine) after initialisation and after each
-    elimination, once the variable is gone.  Returns the number of runs."""
+    elimination, once the variable is gone (with `ns`, before its NS
+    pass).  Returns the number of runs."""
     engines = []
     cls = ENGINES[rule]
     initialise = cls.initialise
@@ -296,7 +300,7 @@ def run_checking_every_step(monkeypatch, rule, cases, check) -> int:
             continue
         if k % 2:
             ac, _ = eliminate_singletons(ac)
-        run_engine(ac, rule)
+        run_engine(ac, rule, ns=ns)
         runs += 1
     return runs
 
@@ -443,26 +447,34 @@ def test_broken_triangle_entries_are_built_on_first_read(monkeypatch, rule):
     assert 0 < built[0] <= 4 * ac.n, built[0]
 
 
+def scratch_dominance(inst, j, k, v) -> int:
+    """nd_k(v) at x_j from the definition: the values v' of x_j whose row
+    toward x_k lacks a value that v's row has."""
+    return sum(1 << vp for vp in inst.dom(j)
+               if inst.row(j, k, v) & ~inst.row(j, k, vp))
+
+
 @pytest.mark.parametrize("rule", ["exists-snake", "de-snake"])
 def test_lazy_snake_loss_masks_are_exact(monkeypatch, rule):
-    """After initialisation and after each elimination, every loss mask
-    built so far at a live x_j, however late, equals the one built from
-    scratch on the instance as it stands, up to the gone variables that
-    every read masks out with `live[0]`."""
+    """After initialisation and after each elimination, every dominance
+    mask built so far at a live x_j toward a live x_k, however late,
+    equals the one built from scratch on the instance as it stands;
+    masks toward gone neighbours are never read again."""
     compared = [0]
 
     def compare(engine):
         inst = engine.inst
         live = sum(1 << x for x in inst.variables)
         assert engine.live[0] == live
-        for j, (_, _, masks) in engine.vars_plus_minus.items():
+        nbrs, nd = engine.tables
+        for (j, v), masks in nd.items():
+            assert len(masks) <= len(nbrs[j]), (j, v)
             if not live >> j & 1:
                 continue
-            for (v, vp), mask in masks.items():
-                want = sum(1 << k for k in inst.neighbors(j)
-                           if inst.row(j, k, v) & ~inst.row(j, k, vp))
-                assert mask & live == want, (j, v, vp)
-                compared[0] += 1
+            for k, mask in zip(nbrs[j], masks):
+                if live >> k & 1:
+                    assert mask == scratch_dominance(inst, j, k, v), (j, v, k)
+                    compared[0] += 1
 
     runs = run_checking_every_step(monkeypatch, rule, d9_and_dense_cases(),
                                    compare)
@@ -473,18 +485,178 @@ def test_lazy_snake_loss_masks_are_exact(monkeypatch, rule):
 @pytest.mark.parametrize("rule, share", [("exists-snake", 10),
                                          ("de-snake", 4)])
 def test_snake_loss_masks_are_built_on_first_read(rule, share):
-    """Scans stop at their first failing item, so they read few loss
-    masks, and only those are built: at most 1/share of the eager
-    table, one mask per ordered value pair of each variable."""
+    """Scans stop at their first failing item, and a read stops at the
+    first neighbour that settles it, so only a few dominance masks are
+    built: at most 1/share of the eager table, one mask per value of
+    each variable and neighbour."""
     ac, _, ok = enforce_ac(
         random_instance(GeneratorConfig(40, 10, 0.25, 0.35, 7)))
     assert ok
-    eager = sum(ac.dom_size(j) * (ac.dom_size(j) - 1) for j in ac.variables)
+    eager = sum(ac.dom_size(j) * len(ac.neighbors(j)) for j in ac.variables)
     engine = ENGINES[rule](ac.copy())
     engine.run()
-    built = sum(len(masks) for _, _, masks in
-                engine.vars_plus_minus.values())
-    assert eager == 3600 and 0 < built <= eager // share, built
+    built = sum(len(masks) for masks in engine.tables[1].values())
+    assert eager == 3880 and 0 < built <= eager // share, built
+
+
+# The loss-mask scans the dominance masks replaced, kept as the
+# reference: one mask over variable index per ordered value pair
+# (v, v') of x_j, the neighbours x_k of x_j where v has a compatible
+# value that v' lacks.
+
+def reference_loss_mask(inst, vpm: dict, j: int, v: int, vp: int) -> int:
+    if j not in vpm:
+        nbrs = inst.neighbors(j)
+        vpm[j] = (nbrs, {u: [inst.row(j, k, u) for k in nbrs]
+                         for u in inst.dom(j)}, {})
+    nbrs, rows, masks = vpm[j]
+    if (v, vp) not in masks:
+        masks[(v, vp)] = sum(1 << k for k, a, b in
+                             zip(nbrs, rows[v], rows[vp]) if a & ~b)
+    return masks[(v, vp)]
+
+
+def reference_bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
+    others = ~(1 << i)
+    for j in inst.neighbors(i):
+        row = inst.row(i, j, v_i)
+        for v_j in iter_bits(inst.dom_mask(j) & ~row):
+            for vp_j in iter_bits(row):
+                while (live[0] >> j & 1 and others & live[0]
+                       & reference_loss_mask(inst, vpm, j, v_j, vp_j)):
+                    yield j, v_j, vp_j
+
+
+def reference_replacement(inst, live: list, vpm: dict, i: int, j: int,
+                          v_j: int, row: int):
+    others = ~(1 << i)
+    return next((vp_j for vp_j in iter_bits(row) if not others & live[0]
+                 & reference_loss_mask(inst, vpm, j, v_j, vp_j)), None)
+
+
+def reference_unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
+    for j in inst.neighbors(i):
+        row = inst.row(i, j, v_i)
+        for v_j in iter_bits(inst.dom_mask(j) & ~row):
+            while live[0] >> j & 1 and reference_replacement(
+                    inst, live, vpm, i, j, v_j, row) is None:
+                yield j, v_j
+
+
+REFERENCE_SCANS = {"exists-snake": reference_bad_pairs,
+                   "de-snake": reference_unreplaced}
+
+
+def recorded_scan(log: list, key, scan):
+    """`scan`, appending (key, item) to `log` for every item it yields."""
+    for item in scan:
+        log.append((key, item))
+        yield item
+
+
+def recorded_snake_run(rule, ac, ns, reference):
+    """(reduced instance, entries, every scan item in the order yielded)
+    of `rule`'s engine on a copy of `ac`, with the dominance-mask scans
+    or, if `reference`, the loss-mask ones."""
+    log = []
+    base = ENGINES[rule]
+
+    class Recorded(base):
+        def initialise(self):
+            scan = base.scan
+            if reference:
+                vpm = self.vars_plus_minus = {}
+
+                def scan(inst, live, tables, i, v_i):
+                    return REFERENCE_SCANS[rule](inst, live, vpm, i, v_i)
+            self.scan = lambda inst, live, tables, i, v_i: recorded_scan(
+                log, (i, v_i), scan(inst, live, tables, i, v_i))
+            super().initialise()
+
+        def witness(self, i):
+            if not reference or rule == "exists-snake":
+                return super().witness(i)
+            inst, v_i = self.inst, self._free_value(i)
+            u_map = {}
+            for j in inst.neighbors(i):
+                row = inst.row(i, j, v_i)
+                for v_j in iter_bits(inst.dom_mask(j) & ~row):
+                    u_map[(j, v_j)] = reference_replacement(
+                        inst, self.live, self.vars_plus_minus, i, j, v_j,
+                        row)
+            return DeSnakeWitness(v_i, u_map)
+
+    reduced, entries = Recorded(ac.copy()).run(ns)
+    return reduced, entries, log
+
+
+@pytest.mark.parametrize("ns", [False, True])
+@pytest.mark.parametrize("rule", ["exists-snake", "de-snake"])
+def test_snake_scans_match_the_loss_mask_reference(monkeypatch, rule, ns):
+    """The dominance-mask scans against the loss-mask ones they replaced.
+    After initialisation and after each elimination, for every live x_i
+    and value v_i: a fresh scan yields the reference's first item, and
+    so does x_i's running scan unless x_i is queued; every (j, v_j)
+    forbidden by v_i has the reference's replacement and, for
+    exists-snake, the reference's bad v'_j.  The fresh reads go to a copy
+    of the engine's tables, so they build masks toward neighbours gone
+    since initialisation without moving what the engine builds.  Whole
+    runs yield the same scan items in the same order, and give the same
+    entries and reduced instance."""
+    scan = ENGINES[rule].scan
+    counts = Counter()
+
+    def compare(engine):
+        inst, live = engine.inst, engine.live
+        nbrs, nd = engine.tables
+        tables = (nbrs, {key: list(masks) for key, masks in nd.items()})
+        built = {key: len(masks) for key, masks in tables[1].items()}
+        vpm = {}
+        for i in inst.variables:
+            others = live[0] & ~(1 << i)
+            for v_i in inst.dom(i):
+                want = next(REFERENCE_SCANS[rule](inst, live, vpm, i, v_i),
+                            None)
+                assert next(scan(inst, live, tables, i, v_i), None) == want
+                w = engine.scans[i].get(v_i, False)
+                if i not in engine._queued and w is not False:
+                    assert (None if w is None else w[1]) == want, (i, v_i)
+                    counts["running"] += 1
+                for j in inst.neighbors(i):
+                    row = inst.row(i, j, v_i)
+                    for v_j in iter_bits(inst.dom_mask(j) & ~row):
+                        assert snake_engine._replacement(
+                            inst, live, tables, i, j, v_j, row) == \
+                            reference_replacement(inst, live, vpm, i, j,
+                                                  v_j, row), (i, v_i, j, v_j)
+                        bad = sum(1 << vp for vp in iter_bits(row)
+                                  if others & reference_loss_mask(
+                                      inst, vpm, j, v_j, vp))
+                        assert row & snake_engine.dominated(
+                            inst, live, tables, i, j, v_j, -1) == bad
+                        counts["pairs"] += 1
+        for key, masks in tables[1].items():
+            for k in nbrs[key[0]][built.get(key, 0):len(masks)]:
+                if not live[0] >> k & 1:
+                    counts["gone"] += 1
+
+    cases = d9_and_dense_cases() + [ac for label, ac in
+                                    structured_ac_instances()
+                                    if label[2] == 20]
+    runs = run_checking_every_step(monkeypatch, rule, cases, compare, ns=ns)
+    monkeypatch.undo()
+    sequences = 0
+    for k, ac in enumerate(cases):
+        if ac is None:
+            continue
+        if k % 2:
+            ac, _ = eliminate_singletons(ac)
+        want = recorded_snake_run(rule, ac, ns, reference=True)
+        assert recorded_snake_run(rule, ac, ns, reference=False) == want, k
+        sequences += len(want[2])
+    assert runs >= 40, runs
+    assert counts["running"] > 5000 and counts["pairs"] > 30000, counts
+    assert counts["gone"] > 1000 and sequences > 1000, (counts, sequences)
 
 
 @pytest.mark.parametrize("rule", ["aebtp", "bt-degree"])
