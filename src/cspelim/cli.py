@@ -18,7 +18,6 @@ import csv
 import functools
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 # uncalled: `bench/layers.py` times the names here and is their only reader
 from .consistency import eliminate_singletons, enforce_ac  # noqa: F401
@@ -36,39 +35,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_TIMEOUT = 2
 EXIT_UNSAT = 20
-
-
-@dataclass
-class RunReport:
-    """Summary of one preprocessing run, printed as `key value` lines."""
-    instance: str
-    rule: str
-    vars_before: int
-    vars_after: int
-    values_deleted: int
-    eliminations: dict = field(default_factory=dict)
-    times: dict = field(default_factory=dict)
-    verdict: str = "reduced"
-
-    def validate(self) -> None:
-        total = sum(self.eliminations.values())
-        if self.vars_after + total != self.vars_before:
-            raise AssertionError("report arithmetic: %d + %d != %d"
-                                 % (self.vars_after, total, self.vars_before))
-        if any(t < 0 for t in self.times.values()):
-            raise AssertionError("negative stage time")
-
-    def lines(self):
-        yield "instance %s" % self.instance
-        yield "rule %s" % self.rule
-        yield "vars-before %d" % self.vars_before
-        yield "vars-after %d" % self.vars_after
-        yield "values-deleted %d" % self.values_deleted
-        for name in sorted(self.eliminations):
-            yield "eliminations %s %d" % (name, self.eliminations[name])
-        for stage in sorted(self.times):
-            yield "time-%s %.6f" % (stage, self.times[stage])
-        yield "verdict %s" % self.verdict
 
 
 def _write_lines(path, lines) -> None:
@@ -91,14 +57,23 @@ def cmd_preprocess(args) -> int:
 
     counts = Counter(entry.rule for entry in entries)
     counts.setdefault(args.rule, 0)
+    total = sum(counts.values())
+    if cur.n + total != inst.n:
+        raise AssertionError("report arithmetic: %d + %d != %d"
+                             % (cur.n, total, inst.n))
+    if any(t < 0 for t in times.values()):
+        raise AssertionError("negative stage time")
     deleted = len(ac_log) + sum(len(e.deletions) for e in entries)
-    report = RunReport(instance=args.input, rule=args.rule,
-                       vars_before=inst.n, vars_after=cur.n,
-                       values_deleted=deleted, eliminations=dict(counts),
-                       times=times, verdict="reduced" if sat else "unsat")
-    report.validate()
-    for line in report.lines():
-        print(line)
+    print("instance %s" % args.input)
+    print("rule %s" % args.rule)
+    print("vars-before %d" % inst.n)
+    print("vars-after %d" % cur.n)
+    print("values-deleted %d" % deleted)
+    for name in sorted(counts):
+        print("eliminations %s %d" % (name, counts[name]))
+    for stage in sorted(times):
+        print("time-%s %.6f" % (stage, times[stage]))
+    print("verdict %s" % ("reduced" if sat else "unsat"))
     return EXIT_OK if sat else EXIT_UNSAT
 
 

@@ -7,7 +7,6 @@ never an exception: preprocessing legitimately discovers it.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -124,27 +123,26 @@ def eliminate_variable(inst: Instance, i: int) -> tuple[list[Deletion], bool]:
 
 
 def eliminate_singletons(inst: Instance):
-    """Remove singleton-domain variables (repeatedly) from an arc-consistent
-    instance.  Returns (instance, trace entries); check ``instance.wiped``.
-    """
+    """Remove the singleton-domain variables of an arc-consistent
+    instance from a copy, in index order.  Returns (instance, trace
+    entries).  Every value of a neighbour of a singleton is compatible
+    with its one value, so a removal deletes nothing: no new singleton
+    and no wipeout can follow.  A removal that would delete a value
+    raises NotArcConsistentError."""
     from .trace import SingletonWitness, TraceEntry, capture_snapshot
 
     cur = inst.copy()
     entries: list[TraceEntry] = []
-    # the current singletons, smallest index first
-    singles = [i for i in cur.variables if cur.dom_size(i) == 1]
-    while singles:
-        single = heapq.heappop(singles)
+    for single in cur.variables:
+        if cur.dom_size(single) != 1:
+            continue
         value = cur.dom(single)[0]
         doms, rels = capture_snapshot(cur, single)
-        log, ok = eliminate_variable(cur, single)
+        if eliminate_variable(cur, single)[0]:
+            raise NotArcConsistentError(
+                "singleton removal requires an arc-consistent instance")
         entries.append(TraceEntry("singleton", single, SingletonWitness(value),
-                                  doms, rels, deletions=tuple(log)))
-        if not ok:
-            break
-        for j in {d.var for d in log}:
-            if cur.dom_size(j) == 1:
-                heapq.heappush(singles, j)
+                                  doms, rels))
     return cur, entries
 
 
@@ -156,25 +154,25 @@ def _substitutable(inst: Instance, i: int, v: int, v2: int) -> bool:
     return True
 
 
-def ns_fixpoint(inst: Instance) -> tuple[Instance, list[Deletion]]:
-    """Delete neighbourhood-substitutable values until none remain.
+def ns_fixpoint(inst: Instance) -> list[Deletion]:
+    """Delete neighbourhood-substitutable values of `inst` in place until
+    none remain, and return the deletion log.
 
     A value v goes when some live v2 covers all its supports and either
     the containment is strict or v2 < v (ties drop the larger index).
     """
-    cur = inst.copy()
     log: list[Deletion] = []
     changed = True
     while changed:
         changed = False
-        for i in cur.variables:
-            for v in list(cur.dom(i)):
-                for v2 in cur.dom(i):
-                    if v2 == v or not _substitutable(cur, i, v, v2):
+        for i in inst.variables:
+            for v in list(inst.dom(i)):
+                for v2 in inst.dom(i):
+                    if v2 == v or not _substitutable(inst, i, v, v2):
                         continue
-                    if v2 < v or not _substitutable(cur, i, v2, v):
-                        cur.delete_value(i, v)
+                    if v2 < v or not _substitutable(inst, i, v2, v):
+                        inst.delete_value(i, v)
                         log.append(Deletion(i, v, CAUSE_NS))
                         changed = True
                         break
-    return cur, log
+    return log

@@ -23,9 +23,10 @@ ENGINES = {
 
 
 def run_engine(inst: Instance, rule: str, ns: bool = False):
-    """Run the incremental engine for `rule` on a copy of `inst` and
-    return (reduced instance, trace entries).  The input must be arc
-    consistent with no empty domain; only `ns` deletes values."""
+    """Run the incremental engine for `rule` on a copy of `inst`, which
+    it reduces in place, and return (that copy, trace entries).  The
+    input must be arc consistent with no empty domain; only `ns` deletes
+    values, from the same copy."""
     if rule not in ENGINES:
         raise ValueError("unknown rule %r" % rule)
     check_engine_precondition(inst)

@@ -15,21 +15,21 @@ from __future__ import annotations
 from .bt_degree import BrokenTriangleEngine, zero_mask
 
 
-def _unsupported(inst, gone: set, st: dict, nbrs: list,
-                 j: int, v_j: int) -> bool:
+def _unsupported(inst, st: dict, nbrs: list, j: int, v_j: int) -> bool:
     """Is every value of x_m compatible with (x_j, v_j) still apex of a
     broken triangle with it in the base?  Once false it stays false:
     `zero` only gains bits."""
-    return not (zero_mask(inst, gone, st, nbrs, j, v_j, False)
+    return not (zero_mask(inst, st, nbrs, j, v_j, False)
                 & st["rm"][(j, v_j)])
 
 
-def _unsupported_assignments(inst, gone: set, st: dict, nbrs: list):
+def _unsupported_assignments(inst, st: dict, nbrs: list):
     """The assignments at x_m's neighbours with no conflict-free value
     of x_m, in scan order; eliminated variables are skipped."""
+    live = inst.live
     for j in nbrs:
         for v_j in inst.dom(j):
-            while j not in gone and _unsupported(inst, gone, st, nbrs, j, v_j):
+            while j in live and _unsupported(inst, st, nbrs, j, v_j):
                 yield j, v_j
 
 

@@ -22,11 +22,16 @@ definitional checker runs.  The tests certify every witness against
 the checkers, and `cspelim verify` compares whole trace entries with
 the naive fixpoint's.
 
+The engine's instance is the only record of what is live: `run`
+removes x_i from it before `propagate`, and scans test membership in
+`inst.live`, the set that removal shrinks.
+
 With `ns`, neighbourhood substitution (Cooper, AIJ 1997) follows each
-elimination, and a pass that deletes values restarts the engine.  Exact:
-the tables are a function of the live instance; NS keeps it arc
-consistent, as the dominating value has every support of the deleted
-one; and `run`'s support-deletion guard still checks that premise.
+elimination on the same instance, in place, and a pass that deletes
+values restarts the engine.  Exact: the tables are a function of the
+live instance; NS keeps it arc consistent, as the dominating value has
+every support of the deleted one; and `run`'s support-deletion guard
+still checks that premise.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ class Engine:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.eliminated: set[int] = set()
 
     def _start(self) -> None:
         self._heap, self._queued = [], set()
@@ -63,7 +67,7 @@ class Engine:
     # -- queue -------------------------------------------------------
 
     def push(self, i: int) -> None:
-        if i in self.eliminated or i in self._queued:
+        if i in self._queued or i not in self.inst.live:
             return
         self._queued.add(i)
         heapq.heappush(self._heap, i)
@@ -72,7 +76,7 @@ class Engine:
         while self._heap:
             i = heapq.heappop(self._heap)
             self._queued.discard(i)
-            if i not in self.eliminated:
+            if i in self.inst.live:
                 return i
         return None
 
@@ -109,33 +113,31 @@ class Engine:
     # -- main loop ---------------------------------------------------
 
     def run(self, ns: bool = False) -> tuple[Instance, list[TraceEntry]]:
+        inst = self.inst
         self._start()
         entries: list[TraceEntry] = []
         min_live = MIN_LIVE[self.rule]
-        while self.inst.n >= min_live:
+        while inst.n >= min_live:
             i = self._pop()
             if i is None:
                 break
             if not self.revalidate(i):
                 continue
-            nbrs = self.inst.neighbors(i)
-            entries.append(make_entry(self.inst, self.rule, i,
-                                      self.witness(i)))
-            self.eliminated.add(i)
-            self.propagate(i, nbrs)
-            del self.scans[i]
+            nbrs = inst.neighbors(i)
+            entries.append(make_entry(inst, self.rule, i, self.witness(i)))
             # a rule elimination on an arc-consistent instance never
             # deletes values
-            if eliminate_variable(self.inst, i)[0]:
+            if eliminate_variable(inst, i)[0]:
                 raise AssertionError(
                     "support deletion during engine run: input was "
                     "not arc consistent")
-            reduced, log = ns_fixpoint(self.inst) if ns else (None, ())
+            self.propagate(i, nbrs)
+            del self.scans[i]
+            log = ns_fixpoint(inst) if ns else ()
             if log:
                 entries[-1] = replace(entries[-1], deletions=tuple(log))
-                self.inst = reduced
                 self._start()
-        return self.inst, entries
+        return inst, entries
 
     # -- subclass API ------------------------------------------------
 
@@ -149,9 +151,9 @@ class Engine:
         raise NotImplementedError
 
     def propagate(self, var: int, neighbors: list[int]) -> None:
-        """Update tables and resume scans for the elimination of `var`.
-        Called while `var` is still present in the instance (its rows
-        are readable); implementations must treat it as gone."""
+        """Update tables and resume scans for the elimination of `var`,
+        whose neighbours were `neighbors`.  Called once `var` has left
+        the instance: its rows are gone and it is not in `inst.live`."""
         raise NotImplementedError
 
 

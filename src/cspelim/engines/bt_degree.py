@@ -40,14 +40,14 @@ from .base import Engine
 
 class BrokenTriangleEngine(Engine):
     """The shared table and `propagate`.  Subclasses set `rule`, `scan`
-    (x_m's one watched scan, `scan(inst, gone, st, nbrs)`, keyed by m)
+    (x_m's one watched scan, `scan(inst, st, nbrs)`, keyed by m)
     and `out_of_row` (whether apexes outside r_i and `many` are kept).
     Both rules' witness is certificate-free."""
 
     out_of_row = True
 
     def initialise(self) -> None:
-        inst, gone = self.inst, self.eliminated
+        inst = self.inst
         self.st: dict = {}
         for m in inst.variables:
             nbrs = inst.neighbors(m)
@@ -58,7 +58,7 @@ class BrokenTriangleEngine(Engine):
                 "mcols": {u: [inst.row(m, t, u) for t in nbrs]
                           for u in inst.dom(m)},
                 "btv": {}, "many": {}, "zero": {}}
-            self.watch(m, m, self.scan(inst, gone, st, nbrs))
+            self.watch(m, m, self.scan(inst, st, nbrs))
 
     def propagate(self, var: int, neighbors: list) -> None:
         del self.st[var]
@@ -83,7 +83,7 @@ class BrokenTriangleEngine(Engine):
         return ExtensionWitness()
 
 
-def zero_mask(inst, gone: set, st: dict, nbrs: list, i: int, v_i: int,
+def zero_mask(inst, st: dict, nbrs: list, i: int, v_i: int,
               out_of_row: bool) -> int:
     """The `zero` mask of (x_i, v_i) in x_m's table; on the first read
     the entry is built from the instance as it stands."""
@@ -100,7 +100,8 @@ def zero_mask(inst, gone: set, st: dict, nbrs: list, i: int, v_i: int,
             outside = map(or_, outside, col)
         elif out_of_row:
             inside = map(and_, inside, col)
-    rows = [inst.row(i, j, v_i) if j != i and j not in gone else 0
+    live = inst.live
+    rows = [inst.row(i, j, v_i) if j != i and j in live else 0
             for j in nbrs]
     e = list(map(and_, rows, outside))
     if out_of_row:
@@ -125,7 +126,7 @@ def zero_mask(inst, gone: set, st: dict, nbrs: list, i: int, v_i: int,
     return zr
 
 
-def _fails(inst, gone: set, st: dict, nbrs: list,
+def _fails(inst, st: dict, nbrs: list,
            i: int, v_i: int, j: int, v_j: int) -> bool:
     """Does the base pair (i, v_i, j, v_j) have neither a degree-free
     extension nor a 3-safe one?  With r the rows to x_m and c their
@@ -136,21 +137,22 @@ def _fails(inst, gone: set, st: dict, nbrs: list,
     c = r_i & r_j
     if not c:
         return True
-    if (c & zero_mask(inst, gone, st, nbrs, i, v_i, True)
-            or c & zero_mask(inst, gone, st, nbrs, j, v_j, True)):
+    if (c & zero_mask(inst, st, nbrs, i, v_i, True)
+            or c & zero_mask(inst, st, nbrs, j, v_j, True)):
         return False
     many = st["many"]
     return bool(r_i & ~r_j & many[(j, v_j)] and r_j & ~r_i & many[(i, v_i)])
 
 
-def _failing_pairs(inst, gone: set, st: dict, nbrs: list):
+def _failing_pairs(inst, st: dict, nbrs: list):
     """The base pairs at x_m's neighbours that fail, in scan order;
     pairs through an eliminated variable are skipped."""
+    live = inst.live
     for i, j in combinations(nbrs, 2):
         for v_i in inst.dom(i):
             for v_j in iter_bits(inst.row(i, j, v_i)):
-                while (i not in gone and j not in gone
-                       and _fails(inst, gone, st, nbrs, i, v_i, j, v_j)):
+                while (i in live and j in live
+                       and _fails(inst, st, nbrs, i, v_i, j, v_j)):
                     yield i, v_i, j, v_j
 
 

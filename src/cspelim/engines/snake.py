@@ -14,8 +14,8 @@ answers it for every v' at once.  `dominated` builds the masks of
 (j, v) one neighbour at a time, in x_j's neighbour order, and only as
 far as a read needs; a neighbour already gone gets 0, as no read looks
 at it again.  Exact: rows and domains never change in a run, and every
-read skips gone neighbours (`live[0]` is the mask of live variables);
-eliminations only ever shrink the OR.
+read skips the neighbours that are not in `inst.live`; eliminations
+only ever shrink the OR.
 
 Each value v_i of x_i has one watched scan (see `base.py`).  The
 existential rule scans the pairs (v_j incompatible, v'_j compatible
@@ -53,8 +53,7 @@ def dominance(inst, j: int, k: int, v: int) -> int:
     return dom_j ^ both
 
 
-def dominated(inst, live: list, tables: tuple, i: int, j: int, v: int,
-              want: int) -> int:
+def dominated(inst, tables: tuple, i: int, j: int, v: int, want: int) -> int:
     """The OR of nd_k(v) at x_j over the live neighbours x_k other than
     x_i, or, once it covers `want`, the OR over the neighbours read so
     far.  `tables` is (x_j -> x_j's neighbours at initialisation,
@@ -63,28 +62,28 @@ def dominated(inst, live: list, tables: tuple, i: int, j: int, v: int,
     masks = nd.get((j, v))
     if masks is None:
         masks = nd[(j, v)] = []
-    others = live[0] & ~(1 << i)
+    live = inst.live
     acc = 0
     for idx, k in enumerate(nbrs[j]):
         if idx == len(masks):
             masks.append(dominance(inst, j, k, v))
-        if others >> k & 1:
+        if k != i and k in live:
             acc |= masks[idx]
             if not want & ~acc:
                 return acc
     return acc
 
 
-def _bad_pairs(inst, live: list, tables: tuple, i: int, v_i: int):
+def _bad_pairs(inst, tables: tuple, i: int, v_i: int):
     """The pairs (j, v_j, v'_j) that are bad for x_i with v_j forbidden
     and v'_j allowed by v_i, in scan order."""
+    live = inst.live
     for j in tables[0][i]:
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
             rest = row  # v'_j from the watched one up
-            while rest and live[0] >> j & 1:
-                bad = rest & dominated(inst, live, tables, i, j, v_j,
-                                       rest & -rest)
+            while rest and j in live:
+                bad = rest & dominated(inst, tables, i, j, v_j, rest & -rest)
                 if not bad:
                     break
                 low = bad & -bad
@@ -92,22 +91,22 @@ def _bad_pairs(inst, live: list, tables: tuple, i: int, v_i: int):
                 rest &= -low
 
 
-def _replacement(inst, live: list, tables: tuple, i: int, j: int, v_j: int,
-                 row: int):
+def _replacement(inst, tables: tuple, i: int, j: int, v_j: int, row: int):
     """The first v'_j in `row` (the values of x_j allowed by v_i) that
     is bad for nobody but x_i as replacement of v_j, or None."""
-    free = row & ~dominated(inst, live, tables, i, j, v_j, row)
+    free = row & ~dominated(inst, tables, i, j, v_j, row)
     return (free & -free).bit_length() - 1 if free else None
 
 
-def _unreplaced(inst, live: list, tables: tuple, i: int, v_i: int):
+def _unreplaced(inst, tables: tuple, i: int, v_i: int):
     """The (j, v_j) with v_j forbidden by v_i and every v'_j allowed by
     v_i bad for x_i, in scan order."""
+    live = inst.live
     for j in tables[0][i]:
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
-            while live[0] >> j & 1 and _replacement(
-                    inst, live, tables, i, j, v_j, row) is None:
+            while j in live and _replacement(
+                    inst, tables, i, j, v_j, row) is None:
                 yield j, v_j
 
 
@@ -120,21 +119,17 @@ class _SnakeEngine(Engine):
         # (x_j -> neighbours, (j, v) -> dominance masks), see `dominated`
         self.tables = tables = ({i: inst.neighbors(i)
                                  for i in inst.variables}, {})
-        # the mask of live variables, in a list so that the scans see it
-        # shrink
-        self.live = [sum(1 << i for i in inst.variables)]
         for i in inst.variables:
             for v_i in inst.dom(i):
                 if i in self._queued:  # one value is enough
                     break
-                self.watch(i, v_i, self.scan(inst, self.live, tables, i, v_i))
+                self.watch(i, v_i, self.scan(inst, tables, i, v_i))
 
     def propagate(self, var: int, neighbors: list) -> None:
-        self.live[0] &= ~(1 << var)
         near = set(neighbors)
         for j in neighbors:
             near.update(self.inst.neighbors(j))
-        for i in near - self.eliminated - self._queued:
+        for i in near - self._queued:
             self.resume(i)
 
     def _free_value(self, i: int) -> int:
@@ -163,6 +158,6 @@ class DeSnakeEngine(_SnakeEngine):
         for j in inst.neighbors(i):
             row = inst.row(i, j, v_i)
             for v_j in iter_bits(inst.dom_mask(j) & ~row):
-                u_map[(j, v_j)] = _replacement(
-                    inst, self.live, self.tables, i, j, v_j, row)
+                u_map[(j, v_j)] = _replacement(inst, self.tables, i, j, v_j,
+                                               row)
         return DeSnakeWitness(v_i, u_map)

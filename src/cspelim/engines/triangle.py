@@ -43,31 +43,33 @@ def _losses(inst, i: int) -> dict:
             for v_i in inst.dom(i)}
 
 
-def _candidates(inst, gone: set, i: int, lose: dict):
+def _candidates(inst, i: int, lose: dict):
     """The live x_j that pass x_i's structural filter, in index order."""
+    live = inst.live
     closed = {k: {k, *inst.neighbors(k)} for k in inst.neighbors(i)}
     found = set()
     for losses in lose.values():
-        nf = [k for k, _ in losses if k not in gone]
+        nf = [k for k, _ in losses if k in live]
         if not nf:
-            return (j for j in inst.variables if j != i and j not in gone)
+            return (j for j in inst.variables if j != i)
         found |= set.intersection(*[closed[k] for k in nf])
-    return sorted(found - gone - {i})
+    return sorted(found - {i})
 
 
-def _cover(inst, gone: set, j: int, i: int, lose: dict, v_j: int):
+def _cover(inst, j: int, i: int, lose: dict, v_j: int):
     """The first value of x_i compatible with v_j that covers it at
     every live neighbour of x_i other than x_j, or None."""
+    live = inst.live
     return next((v_i for v_i in iter_bits(inst.row(j, i, v_j))
-                 if all(k == j or k in gone or not inst.row(j, k, v_j) & m
+                 if all(k == j or k not in live or not inst.row(j, k, v_j) & m
                         for k, m in lose[v_i])), None)
 
 
-def _uncovered(inst, gone: set, j: int, i: int, lose: dict):
+def _uncovered(inst, j: int, i: int, lose: dict):
     """The values of x_j that no compatible value of x_i covers, in scan
     order; the one last yielded is tested again on each resumption."""
     for v_j in inst.dom(j):
-        while _cover(inst, gone, j, i, lose, v_j) is None:
+        while _cover(inst, j, i, lose, v_j) is None:
             yield v_j
 
 
@@ -84,39 +86,40 @@ class TriangleEngine(Engine):
     def _extend(self, i: int) -> None:
         """Start x_i's candidates below its smallest live justifier in
         index order, stopping at the first that runs out."""
-        inst, gone, scans = self.inst, self.eliminated, self.scans[i]
-        lose = self.lose[i]
+        inst, scans, lose = self.inst, self.scans[i], self.lose[i]
         first = min(self._justifiers(i), default=None)
-        for j in _candidates(inst, gone, i, lose):
+        for j in _candidates(inst, i, lose):
             if first is not None and j > first:
                 break
             if j not in scans:
-                self.watch(i, j, _uncovered(inst, gone, j, i, lose))
+                self.watch(i, j, _uncovered(inst, j, i, lose))
                 if scans[j] is None:
                     first = j
         if first is not None:
             self.held.setdefault(first, set()).add(i)
 
     def _justifiers(self, i: int) -> list:
+        live = self.inst.live
         return [j for j, w in self.scans[i].items()
-                if w is None and j not in self.eliminated]
+                if w is None and j in live]
 
     def revalidate(self, i: int) -> bool:
         return bool(self._justifiers(i))
 
     def witness(self, i: int) -> TriangleWitness:
-        inst, gone, lose = self.inst, self.eliminated, self.lose[i]
+        inst, lose = self.inst, self.lose[i]
         j = min(self._justifiers(i))
-        return TriangleWitness(j, {v_j: _cover(inst, gone, j, i, lose, v_j)
+        return TriangleWitness(j, {v_j: _cover(inst, j, i, lose, v_j)
                                    for v_j in inst.dom(j)})
 
     def propagate(self, var: int, neighbors: list) -> None:
+        live = self.inst.live
         for i in neighbors:
             scans = self.scans[i]
-            for j in scans.keys() & self.eliminated:
+            for j in scans.keys() - live:
                 del scans[j]
             self.resume(i)
             self._extend(i)
         # x_i is queued while x_var justifies it, so these queue nothing
-        for i in self.held.pop(var, set()) - self.eliminated:
+        for i in self.held.pop(var, set()) & live:
             self._extend(i)

@@ -134,6 +134,12 @@ class Instance:
         return tuple(sorted(self._active))
 
     @property
+    def live(self) -> set[int]:
+        """The live variables, read-only: the set ``remove_variable``
+        shrinks in place, so a reader holding it sees every removal."""
+        return self._active
+
+    @property
     def n(self) -> int:
         return len(self._active)
 
@@ -145,9 +151,6 @@ class Instance:
     @property
     def wiped(self) -> bool:
         return any(not self._dom[i] for i in self._active)
-
-    def is_active(self, i: int) -> bool:
-        return i in self._active
 
     def dom(self, i: int) -> list[int]:
         """Live internal values of x_i, ascending."""

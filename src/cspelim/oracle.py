@@ -133,10 +133,7 @@ def naive_fixpoint(inst: Instance, rule: str, ns_interleave: bool = False):
                 raise AssertionError(
                     "support deletion while eliminating %d from an "
                     "arc-consistent instance" % i)
-            dels: tuple = ()
-            if ns_interleave:
-                cur, ns_log = ns_fixpoint(cur)
-                dels = tuple(ns_log)
+            dels = tuple(ns_fixpoint(cur)) if ns_interleave else ()
             entries.append(TraceEntry(rule, i, witness, doms, rels, dels))
             if not ok:
                 return cur, entries

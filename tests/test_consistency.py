@@ -8,9 +8,9 @@ from collections import deque
 import pytest
 
 from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
-                     Instance, brute_force_solve, eliminate_singletons,
-                     eliminate_variable, enforce_ac, is_arc_consistent,
-                     ns_fixpoint, random_instance)
+                     Instance, NotArcConsistentError, brute_force_solve,
+                     eliminate_singletons, eliminate_variable, enforce_ac,
+                     is_arc_consistent, ns_fixpoint, random_instance)
 from cspelim.consistency import revise_to_fixpoint
 from cspelim.trace import SingletonWitness, TraceEntry, capture_snapshot
 from conftest import (broken_triangle_instance, degree_gap_instance,
@@ -204,7 +204,7 @@ def test_eliminate_variable_star_center(star):
     # the elimination happens in place
     assert inst.variables == (1, 2, 3, 4)
     assert inst.e == 0
-    assert not inst.is_active(0)
+    assert 0 not in inst.live
 
 
 def test_eliminate_variable_deletes_unsupported_values():
@@ -236,7 +236,7 @@ def test_singletons_on_arc_consistent_input(gap_inst):
 
 
 def test_singletons_cascade(monkeypatch):
-    # x0 fixed; equality chain forces x1 then x2 once predecessors leave
+    # x0 fixed; arc consistency along the equality chain fixes x1 and x2
     inst = Instance.build([[0], [0, 1], [0, 1]],
                           {(0, 1): [(0, 0)], (1, 2): [(0, 0), (1, 1)]})
     ac, _, ok = enforce_ac(inst)
@@ -285,62 +285,67 @@ def rescan_singletons(inst):
     return cur, entries
 
 
-def test_singleton_worklist_matches_rescan():
-    # inputs that are not arc consistent make singletons mid-run, some
-    # below an index still waiting, and some wipe a neighbour out
+def test_singleton_removal_matches_rescan():
+    # arc-consistent closures of inputs with values deleted at random,
+    # so that many variables are singletons
     rng = random.Random(5)
-    cascades = wipeouts = 0
-    for seed in range(150):
+    checked = removed = 0
+    for seed in range(600):
         inst = small_random(seed, n=12, d=3, p1=0.4, p2=0.3)
         for i in inst.variables:
             for v in list(inst.dom(i)):
                 if inst.dom_size(i) > 1 and rng.random() < 0.3:
                     inst.delete_value(i, v)
-        got, entries = eliminate_singletons(inst)
-        want, expected = rescan_singletons(inst)
-        assert entries == expected, seed
-        assert got == want and got.wiped == want.wiped, seed
-        cascades += any(e.deletions for e in entries)
-        wipeouts += got.wiped
         ac, _, ok = enforce_ac(inst)
-        if ok:
-            got, entries = eliminate_singletons(ac)
-            assert (got, entries) == rescan_singletons(ac), seed
-            # on arc-consistent input removal deletes nothing, so
-            # `preprocess` needs no wipeout check after it
-            assert not any(e.deletions for e in entries), seed
-            assert not got.wiped, seed
-    assert cascades >= 20 and wipeouts >= 5, (cascades, wipeouts)
+        if not ok:
+            continue
+        got, entries = eliminate_singletons(ac)
+        assert (got, entries) == rescan_singletons(ac), seed
+        # on arc-consistent input removal deletes nothing, so
+        # `preprocess` needs no wipeout check after it
+        assert not any(e.deletions for e in entries), seed
+        assert not got.wiped, seed
+        checked += 1
+        removed += len(entries)
+    assert checked >= 30 and removed >= 200, (checked, removed)
+
+
+def test_singleton_removal_rejects_input_that_is_not_arc_consistent():
+    # x1 = 1 has no support at the singleton x0
+    inst = Instance.build([[0], [0, 1]], {(0, 1): [(0, 0)]})
+    with pytest.raises(NotArcConsistentError):
+        eliminate_singletons(inst)
+    assert inst.variables == (0, 1) and inst.dom(1) == [0, 1]
 
 
 def test_ns_deletes_dominated_values():
     inst = Instance.build([[0, 1], [0, 1]],
                           {(0, 1): [(0, 0), (0, 1), (1, 0)]})
-    reduced, log = ns_fixpoint(inst)
+    log = ns_fixpoint(inst)
     assert all(d.cause == CAUSE_NS for d in log)
     deleted = {(d.var, d.value) for d in log}
     assert deleted == {(0, 1), (1, 1)}
-    assert reduced.dom(0) == [0] and reduced.dom(1) == [0]
+    # the deletions happen in place
+    assert inst.dom(0) == [0] and inst.dom(1) == [0]
 
 
 def test_ns_keeps_incomparable_values(star):
     inst = star(4)  # inequality rows are incomparable
-    reduced, log = ns_fixpoint(inst)
-    assert log == []
-    assert reduced == inst
+    assert ns_fixpoint(inst) == []
+    assert inst == star(4)
 
 
 def test_ns_interchangeable_values_drop_larger_index():
     # x0's two values have identical supports; exactly one survives
     inst = Instance.build([[0, 1], [0, 1]], {(0, 1): [(0, 0), (1, 0)]})
-    reduced, log = ns_fixpoint(inst)
+    log = ns_fixpoint(inst)
     assert (0, 1) in {(d.var, d.value) for d in log}
-    assert reduced.dom(0) == [0]
+    assert inst.dom(0) == [0]
 
 
 def test_ns_preserves_satisfiability():
     for seed in range(40):
         inst = small_random(seed, n=5, d=3, p2=0.5)
-        reduced, _ = ns_fixpoint(inst)
-        assert (brute_force_solve(inst) is not None) \
-            == (brute_force_solve(reduced) is not None)
+        sat = brute_force_solve(inst) is not None
+        ns_fixpoint(inst)
+        assert sat == (brute_force_solve(inst) is not None)

@@ -274,26 +274,21 @@ def run_checking_every_step(monkeypatch, rule, cases, check,
                             ns=False) -> int:
     """Run `rule`'s engine on each case, every other one after singleton
     removal, calling check(engine) after initialisation and after each
-    elimination, once the variable is gone (with `ns`, before its NS
-    pass).  Returns the number of runs."""
-    engines = []
+    elimination's `propagate`, once the variable is gone (with `ns`,
+    before its NS pass).  Returns the number of runs."""
     cls = ENGINES[rule]
-    initialise = cls.initialise
-    eliminate = engine_base.eliminate_variable
+    initialise, propagate = cls.initialise, cls.propagate
 
     def initialise_then_check(self):
         initialise(self)
-        engines.append(self)
         check(self)
 
-    def eliminate_then_check(inst, i):
-        result = eliminate(inst, i)
-        check(engines[-1])
-        return result
+    def propagate_then_check(self, var, neighbors):
+        propagate(self, var, neighbors)
+        check(self)
 
     monkeypatch.setattr(cls, "initialise", initialise_then_check)
-    monkeypatch.setattr(engine_base, "eliminate_variable",
-                        eliminate_then_check)
+    monkeypatch.setattr(cls, "propagate", propagate_then_check)
     runs = 0
     for k, ac in enumerate(cases):
         if ac is None:
@@ -316,14 +311,14 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     compared = [0]
 
     def compare(engine):
-        inst, gone = engine.inst, engine.eliminated
+        inst = engine.inst
         if inst.n < MIN_LIVE[rule]:
             return
         for i in inst.variables:
             # triangle keys its scans by justifier, the others by value
             # or by x_i itself
             certified = any(w is None and (rule != "triangle"
-                                           or key not in gone)
+                                           or key in inst.live)
                             for key, w in engine.scans[i].items())
             assert certified == (checker_accepts(inst, rule, i)
                                  is not None), i
@@ -375,12 +370,12 @@ def test_lazy_broken_triangle_entries_are_exact(monkeypatch, rule):
     compared = [0]
 
     def compare(engine):
-        inst, gone = engine.inst, engine.eliminated
+        inst = engine.inst
         for m in inst.variables:
             st = engine.st[m]
-            assert all(key[0] not in gone for key in st["btv"]), m
+            assert all(key[0] in inst.live for key in st["btv"]), m
             for (i, v_i), zero in st["zero"].items():
-                if i in gone:
+                if i not in inst.live:
                     continue
                 sets, many, want = scratch_entry(inst, m, i, v_i,
                                                  engine.out_of_row)
@@ -435,9 +430,9 @@ def test_broken_triangle_entries_are_built_on_first_read(monkeypatch, rule):
     built = [0]
     zero_mask = module.zero_mask
 
-    def counted(inst, gone, st, nbrs, i, v_i, out_of_row):
+    def counted(inst, st, nbrs, i, v_i, out_of_row):
         built[0] += (i, v_i) not in st["zero"]
-        return zero_mask(inst, gone, st, nbrs, i, v_i, out_of_row)
+        return zero_mask(inst, st, nbrs, i, v_i, out_of_row)
 
     monkeypatch.setattr(module, "zero_mask", counted)
     ac, _, ok = enforce_ac(
@@ -463,16 +458,14 @@ def test_lazy_snake_loss_masks_are_exact(monkeypatch, rule):
     compared = [0]
 
     def compare(engine):
-        inst = engine.inst
-        live = sum(1 << x for x in inst.variables)
-        assert engine.live[0] == live
+        inst, live = engine.inst, engine.inst.live
         nbrs, nd = engine.tables
         for (j, v), masks in nd.items():
             assert len(masks) <= len(nbrs[j]), (j, v)
-            if not live >> j & 1:
+            if j not in live:
                 continue
             for k, mask in zip(nbrs[j], masks):
-                if live >> k & 1:
+                if k in live:
                     assert mask == scratch_dominance(inst, j, k, v), (j, v, k)
                     compared[0] += 1
 
@@ -516,30 +509,34 @@ def reference_loss_mask(inst, vpm: dict, j: int, v: int, vp: int) -> int:
     return masks[(v, vp)]
 
 
-def reference_bad_pairs(inst, live: list, vpm: dict, i: int, v_i: int):
-    others = ~(1 << i)
+def reference_bad(inst, vpm: dict, i: int, j: int, v: int, vp: int) -> bool:
+    """Does (v, vp) of x_j lose support at a live x_k other than x_i?"""
+    return any(k != i and k in inst.live
+               for k in iter_bits(reference_loss_mask(inst, vpm, j, v, vp)))
+
+
+def reference_bad_pairs(inst, vpm: dict, i: int, v_i: int):
     for j in inst.neighbors(i):
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
             for vp_j in iter_bits(row):
-                while (live[0] >> j & 1 and others & live[0]
-                       & reference_loss_mask(inst, vpm, j, v_j, vp_j)):
+                while (j in inst.live
+                       and reference_bad(inst, vpm, i, j, v_j, vp_j)):
                     yield j, v_j, vp_j
 
 
-def reference_replacement(inst, live: list, vpm: dict, i: int, j: int,
-                          v_j: int, row: int):
-    others = ~(1 << i)
-    return next((vp_j for vp_j in iter_bits(row) if not others & live[0]
-                 & reference_loss_mask(inst, vpm, j, v_j, vp_j)), None)
+def reference_replacement(inst, vpm: dict, i: int, j: int, v_j: int,
+                          row: int):
+    return next((vp_j for vp_j in iter_bits(row)
+                 if not reference_bad(inst, vpm, i, j, v_j, vp_j)), None)
 
 
-def reference_unreplaced(inst, live: list, vpm: dict, i: int, v_i: int):
+def reference_unreplaced(inst, vpm: dict, i: int, v_i: int):
     for j in inst.neighbors(i):
         row = inst.row(i, j, v_i)
         for v_j in iter_bits(inst.dom_mask(j) & ~row):
-            while live[0] >> j & 1 and reference_replacement(
-                    inst, live, vpm, i, j, v_j, row) is None:
+            while j in inst.live and reference_replacement(
+                    inst, vpm, i, j, v_j, row) is None:
                 yield j, v_j
 
 
@@ -567,10 +564,10 @@ def recorded_snake_run(rule, ac, ns, reference):
             if reference:
                 vpm = self.vars_plus_minus = {}
 
-                def scan(inst, live, tables, i, v_i):
-                    return REFERENCE_SCANS[rule](inst, live, vpm, i, v_i)
-            self.scan = lambda inst, live, tables, i, v_i: recorded_scan(
-                log, (i, v_i), scan(inst, live, tables, i, v_i))
+                def scan(inst, tables, i, v_i):
+                    return REFERENCE_SCANS[rule](inst, vpm, i, v_i)
+            self.scan = lambda inst, tables, i, v_i: recorded_scan(
+                log, (i, v_i), scan(inst, tables, i, v_i))
             super().initialise()
 
         def witness(self, i):
@@ -582,8 +579,7 @@ def recorded_snake_run(rule, ac, ns, reference):
                 row = inst.row(i, j, v_i)
                 for v_j in iter_bits(inst.dom_mask(j) & ~row):
                     u_map[(j, v_j)] = reference_replacement(
-                        inst, self.live, self.vars_plus_minus, i, j, v_j,
-                        row)
+                        inst, self.vars_plus_minus, i, j, v_j, row)
             return DeSnakeWitness(v_i, u_map)
 
     reduced, entries = Recorded(ac.copy()).run(ns)
@@ -607,17 +603,15 @@ def test_snake_scans_match_the_loss_mask_reference(monkeypatch, rule, ns):
     counts = Counter()
 
     def compare(engine):
-        inst, live = engine.inst, engine.live
+        inst = engine.inst
         nbrs, nd = engine.tables
         tables = (nbrs, {key: list(masks) for key, masks in nd.items()})
         built = {key: len(masks) for key, masks in tables[1].items()}
         vpm = {}
         for i in inst.variables:
-            others = live[0] & ~(1 << i)
             for v_i in inst.dom(i):
-                want = next(REFERENCE_SCANS[rule](inst, live, vpm, i, v_i),
-                            None)
-                assert next(scan(inst, live, tables, i, v_i), None) == want
+                want = next(REFERENCE_SCANS[rule](inst, vpm, i, v_i), None)
+                assert next(scan(inst, tables, i, v_i), None) == want
                 w = engine.scans[i].get(v_i, False)
                 if i not in engine._queued and w is not False:
                     assert (None if w is None else w[1]) == want, (i, v_i)
@@ -626,18 +620,17 @@ def test_snake_scans_match_the_loss_mask_reference(monkeypatch, rule, ns):
                     row = inst.row(i, j, v_i)
                     for v_j in iter_bits(inst.dom_mask(j) & ~row):
                         assert snake_engine._replacement(
-                            inst, live, tables, i, j, v_j, row) == \
-                            reference_replacement(inst, live, vpm, i, j,
-                                                  v_j, row), (i, v_i, j, v_j)
+                            inst, tables, i, j, v_j, row) == \
+                            reference_replacement(inst, vpm, i, j, v_j,
+                                                  row), (i, v_i, j, v_j)
                         bad = sum(1 << vp for vp in iter_bits(row)
-                                  if others & reference_loss_mask(
-                                      inst, vpm, j, v_j, vp))
+                                  if reference_bad(inst, vpm, i, j, v_j, vp))
                         assert row & snake_engine.dominated(
-                            inst, live, tables, i, j, v_j, -1) == bad
+                            inst, tables, i, j, v_j, -1) == bad
                         counts["pairs"] += 1
         for key, masks in tables[1].items():
             for k in nbrs[key[0]][built.get(key, 0):len(masks)]:
-                if not live[0] >> k & 1:
+                if k not in inst.live:
                     counts["gone"] += 1
 
     cases = d9_and_dense_cases() + [ac for label, ac in
@@ -721,6 +714,41 @@ def test_triangle_engine_matches_reference_on_structured_families(ns):
     runs.assert_restarts_exercised()
 
 
+def test_ns_reduces_one_copy_of_the_input_in_place(monkeypatch):
+    """With `ns`, `run_engine` copies its input once and every rule's
+    engine reduces that copy: NS deletes values after several
+    eliminations, each pass restarting the engine, and `engine.inst` is
+    the copy at every initialisation and every `propagate`."""
+    ac, _, ok = enforce_ac(structured_families(0, 30, 4)["sparse"])
+    assert ok
+    copies, seen = [], []
+    copy = Instance.copy
+
+    def recorded_copy(inst):
+        copies.append(copy(inst))
+        return copies[-1]
+
+    def recorded(method):
+        def wrapper(engine, *args):
+            seen.append(engine.inst)
+            return method(engine, *args)
+        return wrapper
+
+    monkeypatch.setattr(Instance, "copy", recorded_copy)
+    for cls in ENGINES.values():
+        for name in ("initialise", "propagate"):
+            monkeypatch.setattr(cls, name, recorded(getattr(cls, name)))
+    for rule in RULES:
+        copies.clear()
+        seen.clear()
+        reduced, entries = run_engine(ac, rule, ns=True)
+        assert len(copies) == 1, (rule, len(copies))
+        assert sum(1 for e in entries if e.deletions) >= 2, rule
+        assert reduced is copies[0], rule
+        assert len(seen) > len(entries), rule
+        assert all(inst is reduced for inst in seen), rule
+
+
 # sha256 prefixes of each rule's eliminations and queue insertions over
 # the 500 battery instances and the structured families
 RUN_DIGESTS = {
@@ -740,13 +768,14 @@ def test_engine_runs_match_pinned_digest(monkeypatch, rule):
     `propagate` is free."""
     recorder = EngineRecorder(monkeypatch)
     cuts = []
-    eliminate = engine_base.eliminate_variable
+    cls = ENGINES[rule]
+    propagate = cls.propagate
 
-    def eliminate_and_cut(inst, i):
-        cuts.append((i, len(recorder.insertions)))
-        return eliminate(inst, i)
+    def propagate_and_cut(engine, var, neighbors):
+        propagate(engine, var, neighbors)
+        cuts.append((var, len(recorder.insertions)))
 
-    monkeypatch.setattr(engine_base, "eliminate_variable", eliminate_and_cut)
+    monkeypatch.setattr(cls, "propagate", propagate_and_cut)
     digest = hashlib.sha256()
     runs = 0
     cases = [ac for _, ac in battery_ac_instances(500, seed=0)]
@@ -780,12 +809,12 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
 
     def compare():
         engine = engines[-1]
-        inst, gone = engine.inst, engine.eliminated
+        inst = engine.inst
         for i in inst.variables:
             started = engine._justifiers(i)
             found = [j for j in inst.variables
                      if j != i and justifies(inst, j, i) is not None]
-            assert set(found) <= set(_candidates(inst, gone, i,
+            assert set(found) <= set(_candidates(inst, i,
                                                  _losses(inst, i))), i
             assert set(started) <= set(found), (i, started, found)
             assert bool(started) == bool(found), (i, found)
@@ -796,7 +825,7 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
             compared[0] += len(found)
 
     initialise = TriangleEngine.initialise
-    eliminate = engine_base.eliminate_variable
+    propagate = TriangleEngine.propagate
     push = TriangleEngine.push
 
     def push_justified(self, i):
@@ -808,15 +837,13 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
         engines.append(self)
         compare()
 
-    def eliminate_then_compare(inst, i):
-        result = eliminate(inst, i)
+    def propagate_then_compare(self, var, neighbors):
+        propagate(self, var, neighbors)
         compare()
-        return result
 
     monkeypatch.setattr(TriangleEngine, "initialise", initialise_then_compare)
+    monkeypatch.setattr(TriangleEngine, "propagate", propagate_then_compare)
     monkeypatch.setattr(TriangleEngine, "push", push_justified)
-    monkeypatch.setattr(engine_base, "eliminate_variable",
-                        eliminate_then_compare)
     runs = 0
     for _, ac in battery_ac_instances(500, seed=0):
         run_engine(ac, "triangle")

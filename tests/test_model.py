@@ -91,7 +91,7 @@ def test_remove_variable_drops_adjacency(star):
     assert inst.n == 3
     assert inst.e == 0
     assert inst.neighbors(1) == []
-    assert not inst.is_active(0)
+    assert 0 not in inst.live
 
 
 def test_copy_is_independent():
