@@ -7,8 +7,10 @@ never an exception: preprocessing legitimately discovers it.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 from .model import Instance, iter_bits
 
@@ -19,6 +21,17 @@ CAUSE_NS = "NS"
 
 class NotArcConsistentError(ValueError):
     """An operation that requires arc consistency got a non-AC instance."""
+
+
+class TimeBudgetExceeded(Exception):
+    """Wall-clock limit expired during preprocessing or search."""
+
+
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise TimeBudgetExceeded once ``time.monotonic()`` is past
+    `deadline`; None means no limit."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded()
 
 
 @dataclass(frozen=True)
@@ -43,26 +56,48 @@ def is_arc_consistent(inst: Instance) -> bool:
     return True
 
 
-def revise_to_fixpoint(relations: dict, neighbors: dict, masks: dict,
-                       queue: deque, trail: list) -> tuple[int, int] | None:
-    """AC-3 revise loop over live-value masks, narrowed in place.
+def arc_records(relations: dict, neighbors: dict) -> tuple[list, list]:
+    """The arcs of a constraint graph as records for `revise_to_fixpoint`.
 
     `relations` holds the rows of every constraint as in
     ``Instance.relations``; `neighbors` maps each variable to its
-    constrained variables, ascending.  A queued arc (j, i) keeps in
-    ``masks[j]`` the values with a support in ``masks[i]``.  That is the
-    OR of the reverse rows (i, j) over ``masks[i]``, one row per live
-    value of x_i, stopping as soon as it covers ``masks[j]`` (Lecoutre
-    and Vion, CPL 2008).  Each narrowing pushes (j, old mask) on
-    `trail`, so a caller can undo it.  When x_j shrinks, every arc (k, j)
-    with k != i is queued again (duplicates included).  Returns the arc
-    (j, i) whose revision wiped x_j out, or None at the fixpoint.  Every
-    mask must lie within its variable's live domain.
+    constrained variables, ascending.  The record (j, i, rows) revises
+    x_j against x_i, with ``rows = relations[i, j]``.  Returns (into,
+    arcs): ``into``, indexed by variable, lists at j the records
+    (k, j, relations[j, k]) for each neighbour k of x_j, ascending, and
+    `arcs` holds the same record objects in the order (i, j) for each
+    variable i ascending and each neighbour j ascending.
     """
+    into: list = [[] for _ in range(max(neighbors, default=-1) + 1)]
+    arcs = []
+    for i in sorted(neighbors):
+        for j in neighbors[i]:
+            arc = (i, j, relations[j, i])
+            into[j].append(arc)
+            arcs.append(arc)
+    return into, arcs
+
+
+def revise_to_fixpoint(into: list, masks, queue: deque,
+                       trail: list) -> tuple[int, int] | None:
+    """AC-3 revise loop over live-value masks, narrowed in place.
+
+    `queue` holds arc records from `arc_records`, and `into` is its
+    requeue table.  Popping (j, i, rows) keeps in ``masks[j]`` the values
+    with a support in ``masks[i]``.  That is the OR of the reverse rows
+    over ``masks[i]``, one row per live value of x_i, stopping as soon as
+    it covers ``masks[j]`` (Lecoutre and Vion, CPL 2008).  Each narrowing
+    pushes (j, old mask) on `trail`, so a caller can undo it.  When x_j
+    shrinks, every record of ``into[j]`` but the one from x_i is queued
+    again (duplicates included), so a pop costs no tuple hashing or
+    relation lookup.  Returns the arc (j, i) whose revision wiped x_j
+    out, or None at the fixpoint.  `masks` is indexed by variable, and
+    every mask must lie within its variable's live domain.
+    """
+    popleft = queue.popleft
     while queue:
-        j, i = queue.popleft()
+        j, i, rows = popleft()
         mj = masks[j]
-        rows = relations[i, j]
         mi = masks[i]
         sup = 0
         while mi:
@@ -78,7 +113,7 @@ def revise_to_fixpoint(relations: dict, neighbors: dict, masks: dict,
                 masks[j] = kept
                 if not kept:
                     return j, i
-                queue.extend([(k, j) for k in neighbors[j] if k != i])
+                queue.extend([a for a in into[j] if a[0] != i])
     return None
 
 
@@ -91,10 +126,10 @@ def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
     deleted by then depends on the revise order.
     """
     cur = inst.copy()
-    neighbors = {i: cur.neighbors(i) for i in cur.variables}
+    into, arcs = arc_records(cur.relations,
+                             {i: cur.neighbors(i) for i in cur.variables})
     masks = {i: cur.dom_mask(i) for i in cur.variables}
-    queue = deque((i, j) for i in cur.variables for j in neighbors[i])
-    wipeout = revise_to_fixpoint(cur.relations, neighbors, masks, queue, [])
+    wipeout = revise_to_fixpoint(into, masks, deque(arcs), [])
     log: list[Deletion] = []
     for i in cur.variables:
         for v in iter_bits(cur.dom_mask(i) & ~masks[i]):
@@ -154,16 +189,20 @@ def _substitutable(inst: Instance, i: int, v: int, v2: int) -> bool:
     return True
 
 
-def ns_fixpoint(inst: Instance) -> list[Deletion]:
+def ns_fixpoint(inst: Instance,
+                deadline: Optional[float] = None) -> list[Deletion]:
     """Delete neighbourhood-substitutable values of `inst` in place until
     none remain, and return the deletion log.
 
     A value v goes when some live v2 covers all its supports and either
     the containment is strict or v2 < v (ties drop the larger index).
+    Each pass over the variables first checks `deadline`
+    (`check_deadline`).
     """
     log: list[Deletion] = []
     changed = True
     while changed:
+        check_deadline(deadline)
         changed = False
         for i in inst.variables:
             for v in list(inst.dom(i)):

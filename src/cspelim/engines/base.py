@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import replace
+from typing import Optional
 
-from ..consistency import (NotArcConsistentError, eliminate_variable,
-                           is_arc_consistent, ns_fixpoint)
+from ..consistency import (NotArcConsistentError, check_deadline,
+                           eliminate_variable, is_arc_consistent, ns_fixpoint)
 from ..model import Instance
 # uncalled: `bench/layers.py` times the name here and is its only reader
 from ..patterns import MIN_LIVE, checker_accepts  # noqa: F401
@@ -112,12 +113,17 @@ class Engine:
 
     # -- main loop ---------------------------------------------------
 
-    def run(self, ns: bool = False) -> tuple[Instance, list[TraceEntry]]:
+    def run(self, ns: bool = False, deadline: Optional[float] = None
+            ) -> tuple[Instance, list[TraceEntry]]:
+        """Eliminate to the fixpoint, NS after each elimination with
+        `ns`.  Checks `deadline` (`check_deadline`) before each
+        elimination and in each NS pass."""
         inst = self.inst
         self._start()
         entries: list[TraceEntry] = []
         min_live = MIN_LIVE[self.rule]
         while inst.n >= min_live:
+            check_deadline(deadline)
             i = self._pop()
             if i is None:
                 break
@@ -133,7 +139,7 @@ class Engine:
                     "not arc consistent")
             self.propagate(i, nbrs)
             del self.scans[i]
-            log = ns_fixpoint(inst) if ns else ()
+            log = ns_fixpoint(inst, deadline) if ns else ()
             if log:
                 entries[-1] = replace(entries[-1], deletions=tuple(log))
                 self._start()

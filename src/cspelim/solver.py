@@ -2,7 +2,7 @@
 
 `mac_solve` is a MAC backtracker (arc consistency re-established after
 every assignment) with conflict-weighted degree (dom/wdeg) variable
-ordering and geometric restarts.  It keeps one dict of domain masks and
+ordering and geometric restarts.  It keeps one list of domain masks and
 a trail of (variable, old mask) pairs, undone on failure, so memory is
 linear in the search depth (Schulte, "Comparing trailing and copying
 for constraint programming", ICLP 1999).  Weight sums toward unassigned
@@ -10,12 +10,16 @@ neighbours are kept incrementally, and the dom/wdeg pick (Boussemart,
 Hemery, Lecoutre and Sais, ECAI 2004) takes the top of a heap of scores
 that is re-keyed lazily, so a pick costs O(log n) per entry it pushes,
 pops or re-keys rather than a scan of every unassigned variable.
-Propagation is `revise_to_fixpoint`'s reverse-row revise.
+Propagation is `revise_to_fixpoint`'s reverse-row revise over arc
+records built once per solve (`arc_records`): a queue pop reads its
+rows off the record, with no tuple hashing or relation lookup, and pops
+the same arcs in the same order as a queue of variable pairs would.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
 `preprocess` is the one reduction the `preprocess`, `solve` and
 `compare` commands run, and the one solve path is
-`solve_with_preprocessing`: `preprocess`, `mac_solve`, reconstruction.
+`solve_with_preprocessing`: `preprocess`, `mac_solve`, reconstruction,
+under one deadline.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .consistency import eliminate_singletons, enforce_ac, revise_to_fixpoint
+from .consistency import (TimeBudgetExceeded, arc_records, check_deadline,
+                          eliminate_singletons, enforce_ac, revise_to_fixpoint)
 from .model import Instance, iter_bits
 from .trace import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
                     SnakeWitness, TriangleWitness)
@@ -48,10 +53,6 @@ class SearchConfig:
             raise ValueError("restart_factor must be finite and >= 1.0")
         if self.time_limit is not None and not self.time_limit >= 0.0:
             raise ValueError("time_limit must be >= 0")
-
-
-class TimeBudgetExceeded(Exception):
-    """Wall-clock limit expired during search."""
 
 
 class ReconstructionError(RuntimeError):
@@ -75,7 +76,8 @@ def _log(log, line: str) -> None:
 class _Attempt:
     """One restart: depth-first MAC limited to `budget` backtracks.
 
-    The live domains are one dict of masks, changed in place.  Every
+    The live domains are one list of masks indexed by variable, changed
+    in place; `into` holds the arc records (`arc_records`).  Every
     change pushes (variable, old mask) on a trail, and each search frame
     remembers the trail length before its variable was assigned; each
     value tried pops the trail back to that mark first.
@@ -91,16 +93,18 @@ class _Attempt:
     undoing the trail or assigning a neighbour only raises scores.
     """
 
-    def __init__(self, inst: Instance, neighbors: dict, weights: dict,
-                 budget: int, deadline: Optional[float]):
-        self.relations = inst.relations
+    def __init__(self, inst: Instance, neighbors: dict, into: list,
+                 weights: dict, budget: int, deadline: Optional[float]):
         self.neighbors = neighbors
+        self.into = into
         self.weights = weights
         self.budget = budget
         self.deadline = deadline
         self.backtracks = 0
         self.assigned: dict = {}
-        self.masks = {i: inst.dom_mask(i) for i in neighbors}
+        self.masks = masks = [0] * len(into)
+        for i in neighbors:
+            masks[i] = inst.dom_mask(i)
         self.trail: list = []
         self.wsum = {i: sum(weights[(min(i, j), max(i, j))] for j in nbrs)
                      for i, nbrs in neighbors.items()}
@@ -114,8 +118,7 @@ class _Attempt:
         # its assignment, its untried values)
         stack = []
         while True:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise TimeBudgetExceeded()
+            check_deadline(self.deadline)
             x = self._pick()
             if x is None:
                 return dict(self.assigned)
@@ -169,7 +172,8 @@ class _Attempt:
     def _fresh_heap(self) -> list:
         """One current entry per unassigned variable."""
         assigned = self.assigned
-        heap = [(self._score(i), i) for i in self.masks if i not in assigned]
+        heap = [(self._score(i), i) for i in self.neighbors
+                if i not in assigned]
         heapq.heapify(heap)
         return heap
 
@@ -185,7 +189,7 @@ class _Attempt:
             if i not in assigned:
                 heapq.heappush(heap, (self._score(i), i))
         self.dropped.clear()
-        if len(heap) > 4 * len(self.masks):
+        if len(heap) > 4 * len(self.neighbors):
             heap = self.heap = self._fresh_heap()
         while heap:
             score, i = heap[0]
@@ -201,9 +205,8 @@ class _Attempt:
     def _propagate(self, start: int) -> bool:
         """Re-establish arc consistency after narrowing `start`.  On a
         wipeout, bump the culprit constraint's weight and fail."""
-        queue = deque((j, start) for j in self.neighbors[start])
-        wipeout = revise_to_fixpoint(self.relations, self.neighbors,
-                                     self.masks, queue, self.trail)
+        wipeout = revise_to_fixpoint(self.into, self.masks,
+                                     deque(self.into[start]), self.trail)
         if wipeout is None:
             return True
         j, i = wipeout
@@ -240,12 +243,13 @@ def mac_solve(inst: Instance, config: Optional[SearchConfig] = None,
         deadline = time.monotonic() + cfg.time_limit
     weights = {pair: 1 for pair in inst.pairs()}
     neighbors = {i: inst.neighbors(i) for i in inst.variables}
+    into = arc_records(inst.relations, neighbors)[0]
     total = 0
     k = 0
     while True:
         budget = int(cfg.initial_backtracks * cfg.restart_factor ** k)
         _log(log, "restart %d %d" % (k, budget))
-        attempt = _Attempt(inst, neighbors, weights, budget, deadline)
+        attempt = _Attempt(inst, neighbors, into, weights, budget, deadline)
         try:
             solution = attempt.run()
         except _Restart:
@@ -338,12 +342,15 @@ def reconstruct_solution(original: Instance, entries, reduced_solution: dict) ->
 # pipeline
 
 
-def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False):
+def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False,
+               deadline: Optional[float] = None):
     """Arc consistency, then singleton removal and `rule`'s engine to
     fixpoint; for None or "none", arc consistency only.  Returns
     (reduced instance, AC log, trace entries, sat flag, stage times).
     Only arc consistency can wipe a domain: singleton removal and NS
-    cannot on arc-consistent input, and `run_engine` checks its input."""
+    cannot on arc-consistent input, and `run_engine` checks its input.
+    The engine raises TimeBudgetExceeded past `deadline`, a
+    ``time.monotonic()`` reading."""
     from .engines import run_engine
 
     times = {"ac": 0.0, "singletons": 0.0, "engine": 0.0}
@@ -356,7 +363,7 @@ def preprocess(inst: Instance, rule: Optional[str] = None, ns: bool = False):
         cur, entries = eliminate_singletons(cur)
         t2 = time.perf_counter()
         times["singletons"] = t2 - t1
-        cur, rule_entries = run_engine(cur, rule, ns=ns)
+        cur, rule_entries = run_engine(cur, rule, ns=ns, deadline=deadline)
         entries += rule_entries
         times["engine"] = time.perf_counter() - t2
     return cur, ac_log, entries, sat, times
@@ -369,15 +376,25 @@ def solve_with_preprocessing(inst: Instance, rule: Optional[str] = None,
     reconstruction back to the original instance (for None or "none",
     MAC on the arc-consistent closure).  A refutation by arc consistency
     logs no restart.  The time limit covers the whole pipeline: the
-    search gets what preprocessing left of it."""
+    engine stops at the deadline, logging ``backtracks 0`` and ``verdict
+    timeout`` with no restart, and the search gets what preprocessing
+    left of it."""
     start = time.monotonic()
-    cur, _, entries, sat, _ = preprocess(inst, rule)
+    deadline = None
+    if config is not None and config.time_limit is not None:
+        deadline = start + config.time_limit
+    try:
+        cur, _, entries, sat, _ = preprocess(inst, rule, deadline=deadline)
+    except TimeBudgetExceeded:
+        _log(log, "backtracks 0")
+        _log(log, "verdict timeout")
+        raise
     if not sat:
         _log(log, "backtracks 0")
         _log(log, "verdict unsat")
         return None
-    if config is not None and config.time_limit is not None:
-        left = config.time_limit - (time.monotonic() - start)
+    if deadline is not None:
+        left = deadline - time.monotonic()
         config = dataclasses.replace(config, time_limit=max(0.0, left))
     reduced_solution = mac_solve(cur, config, log)
     if reduced_solution is None:

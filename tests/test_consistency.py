@@ -3,19 +3,23 @@ neighbourhood substitution."""
 
 import hashlib
 import random
+import time
 from collections import deque
 
 import pytest
 
 from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
-                     Instance, NotArcConsistentError, brute_force_solve,
+                     Instance, NotArcConsistentError, SearchConfig,
+                     TimeBudgetExceeded, brute_force_solve, consistency,
                      eliminate_singletons, eliminate_variable, enforce_ac,
-                     is_arc_consistent, ns_fixpoint, random_instance)
-from cspelim.consistency import revise_to_fixpoint
+                     is_arc_consistent, mac_solve, ns_fixpoint,
+                     random_instance, solver)
+from cspelim.consistency import arc_records, revise_to_fixpoint
 from cspelim.trace import SingletonWitness, TraceEntry, capture_snapshot
-from conftest import (broken_triangle_instance, degree_gap_instance,
-                      disjoint_union, random_tree_instance, small_random,
-                      star_instance, structured_families)
+from conftest import (broken_triangle_instance, clique_instance,
+                      degree_gap_instance, disjoint_union,
+                      random_tree_instance, small_random, star_instance,
+                      structured_families)
 
 
 def slow_ac_domains(inst):
@@ -171,12 +175,12 @@ def test_revise_wipeout_is_pinned():
         if ok:
             continue
         wiped += 1
-        neighbors = {i: inst.neighbors(i) for i in inst.variables}
+        into, arcs = arc_records(inst.relations, {
+            i: inst.neighbors(i) for i in inst.variables})
         masks = {i: inst.dom_mask(i) for i in inst.variables}
-        queue = deque((i, j) for i in inst.variables for j in neighbors[i])
+        queue = deque(arcs)
         trail = []
-        arc = revise_to_fixpoint(inst.relations, neighbors, masks, queue,
-                                 trail)
+        arc = revise_to_fixpoint(into, masks, queue, trail)
         assert arc is not None and masks[arc[0]] == 0, case
         digest.update(repr((case, arc, sorted(masks.items()), len(queue),
                             [(d.var, d.value) for d in log])).encode())
@@ -186,6 +190,99 @@ def test_revise_wipeout_is_pinned():
         assert masks == {i: inst.dom_mask(i) for i in inst.variables}, case
     assert wiped >= 20
     assert digest.hexdigest() == WIPEOUT_DIGEST
+
+
+def pair_revise(relations, neighbors, masks, queue, trail):
+    """The pair-keyed revise that arc records replaced: a queued (j, i)
+    looks up ``relations[i, j]`` at every pop, and a narrowing of x_j
+    queues (k, j) for every neighbour k != i."""
+    while queue:
+        j, i = queue.popleft()
+        mj = masks[j]
+        rows = relations[i, j]
+        mi = masks[i]
+        sup = 0
+        while mi:
+            low = mi & -mi
+            sup |= rows[low.bit_length() - 1]
+            if not mj & ~sup:
+                break
+            mi ^= low
+        else:
+            kept = mj & sup
+            if kept != mj:
+                trail.append((j, mj))
+                masks[j] = kept
+                if not kept:
+                    return j, i
+                queue.extend([(k, j) for k in neighbors[j] if k != i])
+    return None
+
+
+def checked_revise(inst, calls):
+    """`revise_to_fixpoint` for revisions over `inst`'s constraints,
+    checked against `pair_revise` run on copies of its arguments: the
+    same narrowings in the same order, the same wipeout arc, the same
+    final masks and the same arcs left queued.  Appends each result to
+    `calls`."""
+    neighbors = {i: inst.neighbors(i) for i in inst.variables}
+
+    def revise(into, masks, queue, trail):
+        ref_masks, ref_trail = masks.copy(), list(trail)
+        ref_queue = deque((j, i) for j, i, _ in queue)
+        expect = pair_revise(inst.relations, neighbors, ref_masks,
+                             ref_queue, ref_trail)
+        got = revise_to_fixpoint(into, masks, queue, trail)
+        assert got == expect
+        assert trail == ref_trail
+        assert masks == ref_masks
+        assert [(j, i) for j, i, _ in queue] == list(ref_queue)
+        calls.append(got)
+        return got
+    return revise
+
+
+def test_record_revise_matches_pair_revise_in_enforce_ac(monkeypatch):
+    calls = []
+    for inst in revise_cases():
+        monkeypatch.setattr(consistency, "revise_to_fixpoint",
+                            checked_revise(inst, calls))
+        enforce_ac(inst)
+    assert len(calls) == len(revise_cases())
+    assert sum(arc is not None for arc in calls) >= 20
+
+
+def test_record_revise_matches_pair_revise_in_mac(monkeypatch):
+    # every propagation of MAC runs, restarts and weight bumps included:
+    # the structured families raw and after arc consistency (all
+    # satisfiable, few wipeouts), then cliques and random instances near
+    # the threshold for d = 6, where most propagations wipe out
+    cases = []
+    for seed in range(3):
+        for d in (3, 5):
+            for inst in structured_families(seed, 16, d).values():
+                cases += [inst, enforce_ac(inst)[0]]
+    cases += [clique_instance(5, 4), clique_instance(6, 4)]
+    cases += [small_random(seed, n=24 + seed % 9, d=6, p1=0.3,
+                           p2=(0.33, 0.4)[seed % 2]) for seed in range(12)]
+    calls = []
+    verdicts = set()
+    for inst in cases:
+        monkeypatch.setattr(solver, "revise_to_fixpoint",
+                            checked_revise(inst, calls))
+        log = []
+        mac_solve(inst, SearchConfig(initial_backtracks=1), log)
+        verdicts.add(log[-1])
+    assert verdicts == {"verdict sat", "verdict unsat"}
+    assert sum(arc is not None for arc in calls) >= 500
+
+
+def test_ns_fixpoint_checks_deadline():
+    inst = small_random(0, n=6, d=3, p2=0.55)
+    with pytest.raises(TimeBudgetExceeded):
+        ns_fixpoint(inst, deadline=time.monotonic() - 1.0)
+    # before its first pass, so nothing was deleted
+    assert inst == small_random(0, n=6, d=3, p2=0.55)
 
 
 def test_enforce_ac_preserves_satisfiability():

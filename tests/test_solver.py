@@ -15,6 +15,7 @@ from cspelim import (GeneratorConfig, Instance, ReconstructionError,
                      enforce_ac, is_solution, mac_solve, naive_fixpoint,
                      random_instance, reconstruct_solution, solver,
                      solve_with_preprocessing)
+from cspelim.solver import preprocess
 from conftest import (clique_instance, disjoint_union, random_tree_instance,
                       small_random, star_instance)
 
@@ -88,6 +89,23 @@ def test_mac_solves_chain_longer_than_recursion_limit():
     assert peak < 10 * 2**20, peak
 
 
+def test_mac_memory_is_linear_in_constraints():
+    # a star's centre has n - 1 neighbours: a requeue list per arc, of
+    # the arcs to revise again when it narrows, would hold about n**2
+    # records (some 200 MB here) where the records themselves hold 2e
+    n = 5000
+    neq = [(a, b) for a in range(3) for b in range(3) if a != b]
+    star = Instance.build([[0, 1, 2]] * n, {(0, k): neq for k in range(1, n)})
+    tracemalloc.start()
+    try:
+        sol = mac_solve(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_solution(star, sol)
+    assert peak < 10 * 2**20, peak
+
+
 # sha256 of every log and solution below, recorded with the copying
 # search that the trail replaced
 SEARCH_ORDER_DIGEST = (
@@ -132,7 +150,7 @@ class ScanAttempt(HeapAttempt):
 
     def _pick(self):
         self.dropped.clear()
-        free = [i for i in self.masks if i not in self.assigned]
+        free = [i for i in self.neighbors if i not in self.assigned]
         if not free:
             return None
         best, best_score = free[0], math.inf
@@ -267,7 +285,7 @@ def test_time_limit_counts_preprocessing(monkeypatch):
     # the engine alone outlasts the limit, so the search gets no time
     run_engine = cspelim.engines.run_engine
 
-    def slow_engine(inst, rule, ns=False):
+    def slow_engine(inst, rule, ns=False, deadline=None):
         time.sleep(0.05)
         return run_engine(inst, rule, ns=ns)
 
@@ -277,6 +295,29 @@ def test_time_limit_counts_preprocessing(monkeypatch):
         solve_with_preprocessing(clique_instance(6, 5), "triangle",
                                  SearchConfig(time_limit=0.01), log)
     assert log == ["restart 0 100", "backtracks 0", "verdict timeout"]
+
+
+def test_deadline_stops_engine_mid_run(monkeypatch):
+    # each elimination takes at least a tenth of the limit, so the
+    # engine stops well before its fixpoint, and no search starts
+    inst = random_tree_instance(60, 3, 1)
+    eliminated = len(preprocess(inst, "de-snake")[2])
+    engine = cspelim.engines.ENGINES["de-snake"]
+    propagate = engine.propagate
+    calls = []
+
+    def slow_propagate(self, var, neighbors):
+        calls.append(var)
+        time.sleep(0.01)
+        return propagate(self, var, neighbors)
+
+    monkeypatch.setattr(engine, "propagate", slow_propagate)
+    log = []
+    with pytest.raises(TimeBudgetExceeded):
+        solve_with_preprocessing(inst, "de-snake",
+                                 SearchConfig(time_limit=0.1), log)
+    assert log == ["backtracks 0", "verdict timeout"]
+    assert 1 <= len(calls) < eliminated // 2, (len(calls), eliminated)
 
 
 # ---------------------------------------------------------------------------
