@@ -5,7 +5,7 @@ substitution, solution reconstruction, a MAC solver with restarts, and
 verification oracles.
 """
 
-from .consistency import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, Deletion,
+from .consistency import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS,
                           NotArcConsistentError, eliminate_singletons,
                           eliminate_variable, enforce_ac, is_arc_consistent,
                           ns_fixpoint)
@@ -20,13 +20,13 @@ from .patterns import (MIN_LIVE, RULES, bt_degree, check_aebtp,
                        check_exists_snake, check_triangle, checker_accepts)
 from .solver import (ReconstructionError, SearchConfig, TimeBudgetExceeded,
                      mac_solve, reconstruct_solution, solve_with_preprocessing)
-from .trace import (TraceEntry, format_trace, make_entry, parse_trace,
-                    write_trace)
+from .trace import (Deletion, TraceEntry, format_trace, make_entry,
+                    parse_trace, write_trace)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CAUSE_AC", "CAUSE_ELIM", "CAUSE_NS", "Deletion",
+    "CAUSE_AC", "CAUSE_ELIM", "CAUSE_NS",
     "NotArcConsistentError", "eliminate_singletons", "eliminate_variable",
     "enforce_ac", "is_arc_consistent", "ns_fixpoint",
     "ENGINES", "Engine", "check_engine_precondition", "run_engine",
@@ -39,6 +39,7 @@ __all__ = [
     "check_triangle", "checker_accepts",
     "ReconstructionError", "SearchConfig", "TimeBudgetExceeded", "mac_solve",
     "reconstruct_solution", "solve_with_preprocessing",
-    "TraceEntry", "format_trace", "make_entry", "parse_trace", "write_trace",
+    "Deletion", "TraceEntry", "format_trace", "make_entry", "parse_trace",
+    "write_trace",
     "__version__",
 ]

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .model import Instance, iter_bits
+from .trace import Deletion, SingletonWitness, TraceEntry, make_entry
 
 CAUSE_AC = "AC"
 CAUSE_ELIM = "elimination-support"
@@ -32,14 +32,6 @@ def check_deadline(deadline: Optional[float]) -> None:
     `deadline`; None means no limit."""
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded()
-
-
-@dataclass(frozen=True)
-class Deletion:
-    """One value deletion: (variable, internal value, cause)."""
-    var: int
-    value: int
-    cause: str
 
 
 def is_arc_consistent(inst: Instance) -> bool:
@@ -164,20 +156,16 @@ def eliminate_singletons(inst: Instance):
     with its one value, so a removal deletes nothing: no new singleton
     and no wipeout can follow.  A removal that would delete a value
     raises NotArcConsistentError."""
-    from .trace import SingletonWitness, TraceEntry, capture_snapshot
-
     cur = inst.copy()
     entries: list[TraceEntry] = []
     for single in cur.variables:
         if cur.dom_size(single) != 1:
             continue
-        value = cur.dom(single)[0]
-        doms, rels = capture_snapshot(cur, single)
+        entries.append(make_entry(cur, "singleton", single,
+                                  SingletonWitness(cur.dom(single)[0])))
         if eliminate_variable(cur, single)[0]:
             raise NotArcConsistentError(
                 "singleton removal requires an arc-consistent instance")
-        entries.append(TraceEntry("singleton", single, SingletonWitness(value),
-                                  doms, rels))
     return cur, entries
 
 

@@ -31,7 +31,8 @@ elimination on the same instance, in place, and a pass that deletes
 values restarts the engine.  Exact: the tables are a function of the
 live instance; NS keeps it arc consistent, as the dominating value has
 every support of the deleted one; and `run`'s support-deletion guard
-still checks that premise.
+still checks that premise, raising NotArcConsistentError as
+`run_engine`'s precondition does.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class Engine:
     `resume(i)`; both queue x_i with `push(i)` once a scan runs out."""
 
     rule = ""
+    # set by `run`; None for an engine driven without it
+    deadline: Optional[float] = None
 
     def __init__(self, inst: Instance):
         self.inst = inst
@@ -89,7 +92,9 @@ class Engine:
     # -- watched scans -----------------------------------------------
 
     def watch(self, i: int, key, scan) -> None:
-        """Start `scan` for x_i under `key`; queue x_i if it runs out."""
+        """Start `scan` for x_i under `key`; queue x_i if it runs out.
+        Checks the deadline first, so set-up stops within one scan."""
+        check_deadline(self.deadline)
         item = next(scan, None)
         self.scans[i][key] = None if item is None else [scan, item]
         if item is None:
@@ -117,8 +122,9 @@ class Engine:
             ) -> tuple[Instance, list[TraceEntry]]:
         """Eliminate to the fixpoint, NS after each elimination with
         `ns`.  Checks `deadline` (`check_deadline`) before each
-        elimination and in each NS pass."""
+        elimination, in each NS pass and as set-up starts each scan."""
         inst = self.inst
+        self.deadline = deadline
         self._start()
         entries: list[TraceEntry] = []
         min_live = MIN_LIVE[self.rule]
@@ -134,7 +140,7 @@ class Engine:
             # a rule elimination on an arc-consistent instance never
             # deletes values
             if eliminate_variable(inst, i)[0]:
-                raise AssertionError(
+                raise NotArcConsistentError(
                     "support deletion during engine run: input was "
                     "not arc consistent")
             self.propagate(i, nbrs)

@@ -231,30 +231,13 @@ class Instance:
 
     # -- comparison --------------------------------------------------
 
-    def _relation_names(self, i: int, j: int) -> frozenset[tuple[int, int]]:
-        out = []
-        for v in self._dom[i]:
-            r = self.row(i, j, v)
-            a = self._values[i][v]
-            out.extend((a, self._values[j][w]) for w in iter_bits(r))
-        return frozenset(out)
-
     def __eq__(self, other: object) -> bool:
-        """Semantic equality: same live variables, domains (by external
-        name) and allowed pairs, regardless of internal numbering."""
+        """Equality is the text: the same `format_instance` output, so
+        the same live variables, domains (by external name) and allowed
+        pairs, whatever the internal numbering."""
         if not isinstance(other, Instance):
             return NotImplemented
-        if self._active != other._active:
-            return False
-        for i in self._active:
-            if self.value_names(i) != other.value_names(i):
-                return False
-        if self._rows.keys() != other._rows.keys():
-            return False
-        for i, j in self.pairs():
-            if self._relation_names(i, j) != other._relation_names(i, j):
-                return False
-        return True
+        return format_instance(self) == format_instance(other)
 
     def __hash__(self):  # instances are mutable; identity hash is fine
         return id(self)

@@ -11,7 +11,7 @@ keeps the full-scope definition that makes it one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
 
@@ -19,7 +19,7 @@ from .consistency import (NotArcConsistentError, eliminate_variable,
                           enforce_ac, is_arc_consistent, ns_fixpoint)
 from .model import Instance
 from .patterns import checker_accepts
-from .trace import TraceEntry, capture_snapshot
+from .trace import TraceEntry, make_entry
 
 SIZE_GUARD = 10 ** 7
 
@@ -127,16 +127,14 @@ def naive_fixpoint(inst: Instance, rule: str, ns_interleave: bool = False):
             witness = checker_accepts(cur, rule, i)
             if witness is None:
                 continue
-            doms, rels = capture_snapshot(cur, i)
-            log, ok = eliminate_variable(cur, i)
-            if log:
-                raise AssertionError(
+            entries.append(make_entry(cur, rule, i, witness))
+            if eliminate_variable(cur, i)[0]:
+                raise NotArcConsistentError(
                     "support deletion while eliminating %d from an "
                     "arc-consistent instance" % i)
-            dels = tuple(ns_fixpoint(cur)) if ns_interleave else ()
-            entries.append(TraceEntry(rule, i, witness, doms, rels, dels))
-            if not ok:
-                return cur, entries
+            if ns_interleave:
+                entries[-1] = replace(entries[-1],
+                                      deletions=tuple(ns_fixpoint(cur)))
             break
         else:
             return cur, entries

@@ -3,9 +3,10 @@
 A trace is the ordered list of eliminations performed on an instance,
 each with its rule, witness, and a snapshot of the eliminated variable's
 domain and relation rows at elimination time.  Traces are what solution
-reconstruction consumes, in reverse order.  The witness dataclasses live
-here because this module writes and parses them; the code that builds
-them imports them from here.
+reconstruction consumes, in reverse order.  The witness dataclasses and
+`Deletion`, the value deletions a trace logs, live here because this
+module writes and parses them; the code that builds them imports them
+from here.  Every elimination's entry is built by `make_entry`.
 
 File format (values are written under their external names)::
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .consistency import Deletion
 from .model import Instance, open_text, pair_writer
 
 TRACE_RULES = ("singleton", "exists-snake", "de-snake", "triangle",
@@ -68,6 +68,14 @@ class SingletonWitness:
 
 
 @dataclass(frozen=True)
+class Deletion:
+    """One value deletion: (variable, internal value, cause)."""
+    var: int
+    value: int
+    cause: str
+
+
+@dataclass(frozen=True)
 class TraceEntry:
     rule: str
     var: int
@@ -85,10 +93,11 @@ def capture_snapshot(inst: Instance, var: int):
     return dom, rels
 
 
-def make_entry(inst: Instance, rule: str, var: int, witness,
-               deletions=()) -> TraceEntry:
+def make_entry(inst: Instance, rule: str, var: int, witness) -> TraceEntry:
+    """The entry for eliminating `var` from `inst`, taken before the
+    elimination; deletions it causes attach with `dataclasses.replace`."""
     dom, rels = capture_snapshot(inst, var)
-    return TraceEntry(rule, var, witness, dom, rels, tuple(deletions))
+    return TraceEntry(rule, var, witness, dom, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_engine_run_rejects_support_deletion(rule):
     # engine directly skips run_engine's precondition, so the guard in
     # run() is what catches it when x0 is eliminated.
     inst = Instance.build([[0], [0, 1]], {(0, 1): [(0, 0)]})
-    with pytest.raises(AssertionError, match="support deletion"):
+    with pytest.raises(NotArcConsistentError, match="support deletion"):
         ENGINES[rule](inst).run()
 
 

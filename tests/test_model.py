@@ -114,6 +114,77 @@ def test_semantic_equality_and_canonical_key():
     assert canonical_key(a) != canonical_key(c)
 
 
+def reference_equal(a: Instance, b: Instance) -> bool:
+    """Equality by pairwise names: the same live variables, the same
+    domains by external name, the same constrained pairs, and on each
+    the same allowed (name, name) pairs."""
+    if a.live != b.live or a.relations.keys() != b.relations.keys():
+        return False
+    if any(a.value_names(i) != b.value_names(i) for i in a.live):
+        return False
+
+    def named(inst, i, j):
+        return {(inst.value_name(i, v), inst.value_name(j, w))
+                for v in inst.dom(i) for w in iter_bits(inst.row(i, j, v))}
+
+    return all(named(a, i, j) == named(b, i, j) for i, j in a.pairs())
+
+
+def rebuilt(inst: Instance, rename=lambda i, name: name,
+            extra=None) -> Instance:
+    """`inst`, all of whose variables are live, built again from its
+    allowed pairs with each value of x_i named ``rename(i, name)``, plus
+    the `extra` constraints (in the new names)."""
+    domains = [[rename(i, a) for a in inst.value_names(i)]
+               for i in inst.variables]
+    constraints = {(i, j): [(rename(i, inst.value_name(i, v)),
+                             rename(j, inst.value_name(j, w)))
+                            for v in inst.dom(i)
+                            for w in iter_bits(inst.row(i, j, v))]
+                   for i, j in inst.pairs()}
+    constraints.update(extra or {})
+    return Instance.build(domains, constraints)
+
+
+def test_equality_is_the_reference_pairwise_equality():
+    rng = random.Random(31)
+    pool = []
+    for seed in range(40):
+        inst = small_random(seed, n=rng.randint(2, 6), d=rng.randint(1, 4),
+                            p1=rng.choice((0.3, 0.6, 1.0)),
+                            p2=rng.choice((0.0, 0.3, 0.6)))
+        top = inst.max_dom_size()
+        deleted, removed = inst.copy(), inst.copy()
+        i = rng.choice(inst.variables)
+        deleted.delete_value(i, rng.choice(deleted.dom(i)))
+        removed.remove_variable(i)
+        variants = [inst.copy(), deleted, removed, rebuilt(inst),
+                    rebuilt(inst, lambda i, a: a + 1),
+                    rebuilt(inst, lambda i, a: top - 1 - a)]
+        free = [(i, j) for i in inst.variables for j in inst.variables
+                if i < j and j not in inst.neighbors(i)]
+        if free:
+            # an explicit relation that allows every pair
+            i, j = free[0]
+            variants.append(rebuilt(inst, extra={free[0]: [
+                (a, b) for a in inst.value_names(i)
+                for b in inst.value_names(j)]}))
+        for other in variants:
+            assert (inst == other) == reference_equal(inst, other)
+            assert (other == inst) == reference_equal(other, inst)
+        assert inst == variants[0] and inst == variants[3]
+        assert inst != deleted and inst != removed and inst != variants[4]
+        if free:
+            assert inst != variants[-1]
+        pool += [inst] + variants
+    equal = 0
+    for a in pool:
+        for b in pool:
+            assert (a == b) == reference_equal(a, b)
+            equal += a == b
+    assert len(pool) < equal < len(pool) ** 2
+
+
 def bench_workload_texts():
     """The instance files of the benchmark's `mid` and `large-sparse`
     workloads at seeds 0-2, as `bench/gen.py` writes them."""

@@ -320,6 +320,26 @@ def test_deadline_stops_engine_mid_run(monkeypatch):
     assert 1 <= len(calls) < eliminated // 2, (len(calls), eliminated)
 
 
+def test_deadline_stops_engine_set_up(monkeypatch):
+    # each variable's set-up takes a fifth of the limit, so set-up stops
+    # after a few of the 30 variables, before any elimination
+    inst = Instance.build([[0, 1]] * 30)
+    engine = cspelim.engines.ENGINES["triangle"]
+    extend = engine._extend
+    calls = []
+
+    def slow_extend(self, i):
+        calls.append(i)
+        time.sleep(0.02)
+        return extend(self, i)
+
+    monkeypatch.setattr(engine, "_extend", slow_extend)
+    with pytest.raises(TimeBudgetExceeded):
+        cspelim.engines.run_engine(inst, "triangle",
+                                   deadline=time.monotonic() + 0.1)
+    assert 1 <= len(calls) < inst.n // 2, len(calls)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
