@@ -116,6 +116,8 @@ def cmd_verify(args) -> int:
         if low > high:
             raise ValueError("--%s-min %d is above --%s-max %d"
                              % (name, low, name, high))
+    if args.count < 0:
+        raise ValueError("--count %d is below 0" % args.count)
     rows = []
     all_ok = True
     params = dict(n_range=(args.n_min, args.n_max),

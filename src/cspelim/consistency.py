@@ -12,7 +12,7 @@ from collections import deque
 from typing import Optional
 
 from .model import Instance, iter_bits
-from .trace import Deletion, SingletonWitness, TraceEntry, make_entry
+from .trace import Deletion, TraceEntry, make_entry
 
 CAUSE_AC = "AC"
 CAUSE_ELIM = "elimination-support"
@@ -113,7 +113,8 @@ def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
     """Establish arc consistency by revising every arc to a fixpoint.
 
     Returns (new instance, deletion log, sat flag), the log in (variable,
-    value) order.  The flag is False iff some domain wiped out.
+    value) order.  The flag is False iff some domain is empty, one that
+    no constraint touches included.
     Propagation stops at the first wipeout, so which other values are
     deleted by then depends on the revise order.
     """
@@ -127,7 +128,7 @@ def enforce_ac(inst: Instance) -> tuple[Instance, list[Deletion], bool]:
         for v in iter_bits(cur.dom_mask(i) & ~masks[i]):
             cur.delete_value(i, v)
             log.append(Deletion(i, v, CAUSE_AC))
-    return cur, log, wipeout is None
+    return cur, log, wipeout is None and not cur.wiped
 
 
 def eliminate_variable(inst: Instance, i: int) -> tuple[list[Deletion], bool]:
@@ -162,7 +163,7 @@ def eliminate_singletons(inst: Instance):
         if cur.dom_size(single) != 1:
             continue
         entries.append(make_entry(cur, "singleton", single,
-                                  SingletonWitness(cur.dom(single)[0])))
+                                  cur.dom(single)[0]))
         if eliminate_variable(cur, single)[0]:
             raise NotArcConsistentError(
                 "singleton removal requires an arc-consistent instance")

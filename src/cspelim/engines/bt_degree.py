@@ -34,7 +34,6 @@ from itertools import combinations, compress, repeat
 from operator import and_, invert, or_
 
 from ..model import iter_bits
-from ..trace import ExtensionWitness
 from .base import Engine
 
 
@@ -79,8 +78,8 @@ class BrokenTriangleEngine(Engine):
                         many[(i, v_i)] &= ~(1 << u)
             self.resume(m)
 
-    def witness(self, i: int) -> ExtensionWitness:
-        return ExtensionWitness()
+    def witness(self, i: int) -> tuple:
+        return ()
 
 
 def zero_mask(inst, st: dict, nbrs: list, i: int, v_i: int,

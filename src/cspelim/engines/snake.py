@@ -34,7 +34,6 @@ scans below it, left alone while x_i was queued, have moved on.
 from __future__ import annotations
 
 from ..model import iter_bits
-from ..trace import DeSnakeWitness, SnakeWitness
 from .base import Engine
 
 
@@ -144,15 +143,15 @@ class ExistsSnakeEngine(_SnakeEngine):
     rule = "exists-snake"
     scan = staticmethod(_bad_pairs)
 
-    def witness(self, i: int) -> SnakeWitness:
-        return SnakeWitness(self._free_value(i))
+    def witness(self, i: int) -> int:
+        return self._free_value(i)
 
 
 class DeSnakeEngine(_SnakeEngine):
     rule = "de-snake"
     scan = staticmethod(_unreplaced)
 
-    def witness(self, i: int) -> DeSnakeWitness:
+    def witness(self, i: int) -> tuple:
         inst, v_i = self.inst, self._free_value(i)
         u_map = {}
         for j in inst.neighbors(i):
@@ -160,4 +159,4 @@ class DeSnakeEngine(_SnakeEngine):
             for v_j in iter_bits(inst.dom_mask(j) & ~row):
                 u_map[(j, v_j)] = _replacement(inst, self.tables, i, j, v_j,
                                                row)
-        return DeSnakeWitness(v_i, u_map)
+        return v_i, u_map

@@ -31,7 +31,6 @@ names the smallest and maps each v_j to the first v_i that covers it.
 from __future__ import annotations
 
 from ..model import iter_bits
-from ..trace import TriangleWitness
 from .base import Engine
 
 
@@ -106,11 +105,10 @@ class TriangleEngine(Engine):
     def revalidate(self, i: int) -> bool:
         return bool(self._justifiers(i))
 
-    def witness(self, i: int) -> TriangleWitness:
+    def witness(self, i: int) -> tuple:
         inst, lose = self.inst, self.lose[i]
         j = min(self._justifiers(i))
-        return TriangleWitness(j, {v_j: _cover(inst, j, i, lose, v_j)
-                                   for v_j in inst.dom(j)})
+        return j, {v_j: _cover(inst, j, i, lose, v_j) for v_j in inst.dom(j)}
 
     def propagate(self, var: int, neighbors: list) -> None:
         live = self.inst.live

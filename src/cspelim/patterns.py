@@ -16,8 +16,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .model import Instance, iter_bits
-from .trace import (DeSnakeWitness, ExtensionWitness, SnakeWitness,
-                    TriangleWitness)
 
 RULES = ("exists-snake", "de-snake", "triangle", "bt-degree", "aebtp")
 
@@ -55,11 +53,11 @@ def snake_occurs(inst: Instance, i: int, v_i: int) -> Optional[tuple]:
     return None
 
 
-def check_exists_snake(inst: Instance, i: int) -> Optional[SnakeWitness]:
+def check_exists_snake(inst: Instance, i: int) -> Optional[int]:
     """Smallest v_i on which the snake pattern does not occur at all."""
     for v in inst.dom(i):
         if snake_occurs(inst, i, v) is None:
-            return SnakeWitness(v)
+            return v
     return None
 
 
@@ -74,7 +72,7 @@ def _gains_nowhere_else(inst: Instance, j: int, v_j: int, vp_j: int, i: int) -> 
     return True
 
 
-def check_de_snake(inst: Instance, i: int) -> Optional[DeSnakeWitness]:
+def check_de_snake(inst: Instance, i: int) -> Optional[tuple]:
     """Smallest v_i such that every incompatible (x_j, v_j) has a
     replacement v'_j compatible with v_i whose only possible support loss
     is at x_i itself."""
@@ -96,7 +94,7 @@ def check_de_snake(inst: Instance, i: int) -> Optional[DeSnakeWitness]:
             if not ok:
                 break
         if ok:
-            return DeSnakeWitness(v, u_map)
+            return v, u_map
     return None
 
 
@@ -121,13 +119,13 @@ def justifies(inst: Instance, j: int, i: int) -> Optional[dict]:
     return v_map
 
 
-def check_triangle(inst: Instance, i: int) -> Optional[TriangleWitness]:
+def check_triangle(inst: Instance, i: int) -> Optional[tuple]:
     for j in inst.variables:
         if j == i:
             continue
         v_map = justifies(inst, j, i)
         if v_map is not None:
-            return TriangleWitness(j, v_map)
+            return j, v_map
     return None
 
 
@@ -260,7 +258,8 @@ def check_aebtp(inst: Instance, m: int,
 
 def checker_accepts(inst: Instance, rule: str, i: int,
                     among: Optional[Iterable[int]] = None):
-    """Witness if `rule` licenses eliminating x_i right now, else None.
+    """Witness if `rule` licenses eliminating x_i right now, else None;
+    the witness has the form `TraceEntry` gives for the rule.
     Applies the per-rule minimum-live-variable guard.  `among` is passed
     to the extension rules' checkers (see `check_aebtp`); any other rule
     rejects it."""
@@ -277,6 +276,5 @@ def checker_accepts(inst: Instance, rule: str, i: int,
     if rule == "triangle":
         return check_triangle(inst, i)
     if rule == "aebtp":
-        return ExtensionWitness() if check_aebtp(inst, i, among) else None
-    return (ExtensionWitness() if check_bt_degree_property(inst, i, among)
-            else None)
+        return () if check_aebtp(inst, i, among) else None
+    return () if check_bt_degree_property(inst, i, among) else None

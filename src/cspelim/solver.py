@@ -35,8 +35,6 @@ from typing import Optional
 from .consistency import (TimeBudgetExceeded, arc_records, check_deadline,
                           eliminate_singletons, enforce_ac, revise_to_fixpoint)
 from .model import Instance, iter_bits
-from .trace import (DeSnakeWitness, ExtensionWitness, SingletonWitness,
-                    SnakeWitness, TriangleWitness)
 
 
 @dataclass(frozen=True)
@@ -280,28 +278,28 @@ def _snapshot_compatible(entry, s: dict, v: int) -> bool:
 
 def reconstruct_solution(original: Instance, entries, reduced_solution: dict) -> dict:
     """Extend a solution of the reduced instance to one of the original
-    by replaying the trace in reverse.  Values are internal throughout."""
+    by replaying the trace in reverse.  Values are internal throughout;
+    each entry's rule says what its witness holds (`TraceEntry`)."""
     s = dict(reduced_solution)
     for entry in reversed(entries):
-        w = entry.witness
-        var = entry.var
+        rule, var, w = entry.rule, entry.var, entry.witness
         for j in entry.rel_snapshot:
             if j not in s:
                 raise ReconstructionError(
                     "neighbour %d of %d unassigned during replay" % (j, var))
-        if isinstance(w, SingletonWitness):
-            s[var] = w.value
-        elif isinstance(w, TriangleWitness):
-            if w.justifier not in s:
+        if rule == "singleton":
+            s[var] = w
+        elif rule == "triangle":
+            just, v_map = w
+            if just not in s:
                 raise ReconstructionError(
-                    "justifier %d of %d unassigned" % (w.justifier, var))
-            v_j = s[w.justifier]
-            if v_j not in w.v_map:
+                    "justifier %d of %d unassigned" % (just, var))
+            v_j = s[just]
+            if v_j not in v_map:
                 raise ReconstructionError(
-                    "no dominating value for %d=%d at %d"
-                    % (w.justifier, v_j, var))
-            s[var] = w.v_map[v_j]
-        elif isinstance(w, ExtensionWitness):
+                    "no dominating value for %d=%d at %d" % (just, v_j, var))
+            s[var] = v_map[v_j]
+        elif rule in ("aebtp", "bt-degree"):
             for v in entry.dom_snapshot:
                 if _snapshot_compatible(entry, s, v):
                     s[var] = v
@@ -309,20 +307,19 @@ def reconstruct_solution(original: Instance, entries, reduced_solution: dict) ->
             else:
                 raise ReconstructionError(
                     "no extension for %d: elimination guarantee violated" % var)
-        elif isinstance(w, DeSnakeWitness):
-            v_i = w.value
+        elif rule == "de-snake":
+            v_i, u_map = w
             conflicts = [j for j, rows in entry.rel_snapshot.items()
                          if not (rows[v_i] >> s[j]) & 1]
             s[var] = v_i
             for j in conflicts:
                 key = (j, s[j])
-                if key not in w.u_map:
+                if key not in u_map:
                     raise ReconstructionError(
                         "no replacement for %d=%d at %d" % (j, s[j], var))
-                s[j] = w.u_map[key]
-        elif isinstance(w, SnakeWitness):
-            v_i = w.value
-            s[var] = v_i
+                s[j] = u_map[key]
+        elif rule == "exists-snake":
+            v_i = s[var] = w
             for j, rows in entry.rel_snapshot.items():
                 if not (rows[v_i] >> s[j]) & 1:
                     repl = next(iter_bits(rows[v_i]), None)
@@ -331,7 +328,7 @@ def reconstruct_solution(original: Instance, entries, reduced_solution: dict) ->
                             "no replacement for %d at %d" % (j, var))
                     s[j] = repl
         else:
-            raise ReconstructionError("unknown witness %r" % (w,))
+            raise ReconstructionError("unknown rule %r" % rule)
     missing = [i for i in original.variables if i not in s]
     if missing:
         raise ReconstructionError("variables %r left unassigned" % (missing,))

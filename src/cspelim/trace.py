@@ -1,12 +1,12 @@
-"""Elimination traces and the witness types they carry.
+"""Elimination traces: writing and parsing them.
 
 A trace is the ordered list of eliminations performed on an instance,
 each with its rule, witness, and a snapshot of the eliminated variable's
 domain and relation rows at elimination time.  Traces are what solution
-reconstruction consumes, in reverse order.  The witness dataclasses and
-`Deletion`, the value deletions a trace logs, live here because this
-module writes and parses them; the code that builds them imports them
-from here.  Every elimination's entry is built by `make_entry`.
+reconstruction consumes, in reverse order.  A witness is a plain value
+whose form the entry's rule fixes (see `TraceEntry`).  `Deletion`, the
+value deletions a trace logs, lives here because this module writes and
+parses them.  Every elimination's entry is built by `make_entry`.
 
 File format (values are written under their external names)::
 
@@ -33,40 +33,6 @@ TRACE_RULES = ("singleton", "exists-snake", "de-snake", "triangle",
                "bt-degree", "aebtp")
 
 
-# ---------------------------------------------------------------------------
-# witnesses
-
-
-@dataclass(frozen=True)
-class SnakeWitness:
-    value: int
-
-
-@dataclass(frozen=True)
-class DeSnakeWitness:
-    value: int
-    # (neighbour j, v_j incompatible with value) -> replacement u_j(v_j)
-    u_map: dict
-
-
-@dataclass(frozen=True)
-class TriangleWitness:
-    justifier: int
-    # v_j -> dominating v_i(v_j)
-    v_map: dict
-
-
-@dataclass(frozen=True)
-class ExtensionWitness:
-    """Certificate-free witness: the rule guarantees any solution of the
-    reduced instance extends, value found by scanning the snapshot."""
-
-
-@dataclass(frozen=True)
-class SingletonWitness:
-    value: int
-
-
 @dataclass(frozen=True)
 class Deletion:
     """One value deletion: (variable, internal value, cause)."""
@@ -79,6 +45,12 @@ class Deletion:
 class TraceEntry:
     rule: str
     var: int
+    # the certificate that extends a solution of the reduced instance;
+    # its form is fixed by `rule`, values internal:
+    #   singleton, exists-snake: the value of var
+    #   de-snake: (value, {(j, v_j): replacement u_j})
+    #   triangle: (justifier j, {v_j: dominating value of var})
+    #   aebtp, bt-degree: (), found again by scanning the snapshot
     witness: object
     dom_snapshot: tuple          # eliminated variable's domain (internal)
     rel_snapshot: dict           # neighbour -> {value of var -> mask over neighbour}
@@ -105,23 +77,23 @@ def make_entry(inst: Instance, rule: str, var: int, witness) -> TraceEntry:
 
 
 def _witness_lines(inst: Instance, entry: TraceEntry) -> list[str]:
-    w = entry.witness
-    name = lambda i, v: str(inst.value_name(i, v))  # noqa: E731
-    if isinstance(w, (SnakeWitness, SingletonWitness)):
-        return ["witness %s" % name(entry.var, w.value)]
-    if isinstance(w, DeSnakeWitness):
-        lines = ["witness %s" % name(entry.var, w.value)]
-        for (j, v_j), u in sorted(w.u_map.items()):
-            lines.append("umap %d %s %s" % (j, name(j, v_j), name(j, u)))
-        return lines
-    if isinstance(w, TriangleWitness):
-        lines = ["witness just %d" % w.justifier]
-        for v_j, v_i in sorted(w.v_map.items()):
-            lines.append("vmap %s %s" % (name(w.justifier, v_j), name(entry.var, v_i)))
-        return lines
-    if isinstance(w, ExtensionWitness):
+    rule, var, w = entry.rule, entry.var, entry.witness
+    name = inst.value_name
+    if rule in ("singleton", "exists-snake"):
+        return ["witness %s" % name(var, w)]
+    if rule == "de-snake":
+        value, u_map = w
+        return ["witness %s" % name(var, value)] + [
+            "umap %d %s %s" % (j, name(j, v_j), name(j, u))
+            for (j, v_j), u in sorted(u_map.items())]
+    if rule == "triangle":
+        j, v_map = w
+        return ["witness just %d" % j] + [
+            "vmap %s %s" % (name(j, v_j), name(var, v_i))
+            for v_j, v_i in sorted(v_map.items())]
+    if rule in ("aebtp", "bt-degree"):
         return ["witness extension"]
-    raise TypeError("unknown witness %r" % (w,))
+    raise ValueError("unknown rule %r" % rule)
 
 
 def format_trace(entries, inst: Instance, pre_deletions=()) -> str:
@@ -164,8 +136,8 @@ def write_trace(entries, inst: Instance, target, pre_deletions=()) -> None:
 _ARITY = {"elim": 3, "umap": 4, "vmap": 3, "snaprel": 3, "del": 4}
 
 
-def parse_trace(source, inst: Instance):
-    """Parse a trace file against the instance it was produced from.
+def parse_trace(text: str, inst: Instance):
+    """Parse a trace's text against the instance it was produced from.
 
     Returns (entries, pre_deletions): deletions logged before the first
     elimination come back separately, later ones attach to their entry.
@@ -173,11 +145,6 @@ def parse_trace(source, inst: Instance):
     a variable twice or names a gone variable as a triangle justifier or
     `snaprel` neighbour (the entry's own or an earlier one).
     """
-    if isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        with open_text(source) as fh:
-            text = fh.read()
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0].split() != ["TRACE", "1"]:
@@ -206,12 +173,14 @@ def parse_trace(source, inst: Instance):
                                  "line" % var)
             # the witness line precedes snapvar, so its values are
             # checked here; reconstruction reads the snapshot rows at them
-            if isinstance(w, TriangleWitness):
-                values = set(w.v_map.values())
-            elif isinstance(w, ExtensionWitness):
+            if rule == "triangle":
+                values = set(w[1].values())
+            elif rule == "de-snake":
+                values = {w[0]}
+            elif rule in ("aebtp", "bt-degree"):
                 values = set()
             else:
-                values = {w.value}
+                values = {w}
             if not values <= set(dom):
                 raise ValueError("%s witness of %d names a value outside "
                                  "its snapvar" % (rule, var))
@@ -245,30 +214,28 @@ def parse_trace(source, inst: Instance):
         elif kind == "witness":
             rule, var, arg = current[0], current[1], tok[1:]
             if rule in ("bt-degree", "aebtp") and arg == ["extension"]:
-                current[2] = ExtensionWitness()
+                current[2] = ()
             elif rule == "triangle" and len(arg) == 2 and arg[0] == "just":
                 if int(arg[1]) in gone:
                     raise ValueError("justifier %s of %d is eliminated"
                                      % (arg[1], var))
-                current[2] = TriangleWitness(int(arg[1]), {})
-            elif rule == "singleton" and len(arg) == 1:
-                current[2] = SingletonWitness(internal(var, int(arg[0])))
-            elif rule == "exists-snake" and len(arg) == 1:
-                current[2] = SnakeWitness(internal(var, int(arg[0])))
+                current[2] = (int(arg[1]), {})
+            elif rule in ("singleton", "exists-snake") and len(arg) == 1:
+                current[2] = internal(var, int(arg[0]))
             elif rule == "de-snake" and len(arg) == 1:
-                current[2] = DeSnakeWitness(internal(var, int(arg[0])), {})
+                current[2] = (internal(var, int(arg[0])), {})
             else:
                 raise ValueError("bad %s witness %r" % (rule, " ".join(arg)))
         elif kind == "umap":
-            if not isinstance(current[2], DeSnakeWitness):
+            if current[0] != "de-snake" or current[2] is None:
                 raise ValueError("umap line outside a de-snake witness")
             j = int(tok[1])
-            current[2].u_map[(j, internal(j, int(tok[2])))] = internal(j, int(tok[3]))
+            current[2][1][(j, internal(j, int(tok[2])))] = internal(j, int(tok[3]))
         elif kind == "vmap":
-            w = current[2]
-            if not isinstance(w, TriangleWitness):
+            if current[0] != "triangle" or current[2] is None:
                 raise ValueError("vmap line outside a triangle witness")
-            w.v_map[internal(w.justifier, int(tok[1]))] = internal(current[1], int(tok[2]))
+            j, v_map = current[2]
+            v_map[internal(j, int(tok[1]))] = internal(current[1], int(tok[2]))
         elif kind == "snapvar":
             if len(tok) < 3 or int(tok[2]) != len(tok) - 3:
                 raise ValueError("snapvar length mismatch")

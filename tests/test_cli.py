@@ -84,7 +84,8 @@ def test_preprocess_writes_reduced_instance_and_trace(tmp_path, capsys):
     assert reduced.n == original.n - elim_total
     assert reduced.n == int(report["vars-after"])
 
-    entries, pre = parse_trace(trace, original)
+    with open(trace, encoding="utf-8") as fh:
+        entries, pre = parse_trace(fh.read(), original)
     assert len(pre) == int(report["values-deleted"]) - \
         sum(len(e.deletions) for e in entries)
     assert [e.rule for e in entries].count("singleton") == \
@@ -148,16 +149,21 @@ def test_solve_unsat(tmp_path, capsys):
 
 @pytest.mark.parametrize("rule", RULES + ("none",))
 def test_solve_logs_refutation_before_search(tmp_path, capsys, rule):
-    # the one constraint allows no pair, so arc consistency refutes the
-    # instance before any rule or search runs
+    # arc consistency refutes each instance before any rule or search
+    # runs: the one constraint allows no pair, or x0's domain is empty
+    # and on no constraint, so no arc revision sees it
     path = tmp_path / "refuted.bcsp"
-    path.write_text("BCSP 1\nvars 2\ndom 0 2 0 1\ndom 1 2 0 1\n"
-                    "con 0 1 0\nend\n")
     log = str(tmp_path / "search.log")
-    assert main(["solve", str(path), "--rule", rule, "--log", log]) == 20
-    assert capsys.readouterr().out.strip() == "unsat"
-    with open(log, encoding="utf-8") as fh:
-        assert fh.read().splitlines() == ["backtracks 0", "verdict unsat"]
+    for text in ("BCSP 1\nvars 2\ndom 0 2 0 1\ndom 1 2 0 1\ncon 0 1 0\nend\n",
+                 "BCSP 1\nvars 2\ndom 0 0\ndom 1 2 0 1\nend\n"):
+        path.write_text(text)
+        assert main(["solve", str(path), "--rule", rule, "--log", log]) == 20
+        assert capsys.readouterr().out.strip() == "unsat"
+        with open(log, encoding="utf-8") as fh:
+            assert fh.read().splitlines() == ["backtracks 0", "verdict unsat"]
+        if rule != "none":
+            assert main(["preprocess", str(path), "--rule", rule]) == 20
+            assert parse_report(capsys.readouterr().out)["verdict"] == "unsat"
 
 
 def test_solve_timeout(tmp_path, capsys):
@@ -259,6 +265,10 @@ def test_verify_rejects_empty_ranges(capsys):
     assert capsys.readouterr().err == "error: --n-min 5 is above --n-max 4\n"
     assert main(["verify", "--d-min", "5", "--count", "1"]) == 1
     assert capsys.readouterr().err == "error: --d-min 5 is above --d-max 4\n"
+    assert main(["verify", "--count", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count -3 is below 0\n"
+    assert captured.out == ""
 
 
 def test_compare_pipeline_counts(tmp_path, capsys, monkeypatch):

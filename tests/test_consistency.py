@@ -15,7 +15,7 @@ from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
                      is_arc_consistent, mac_solve, ns_fixpoint,
                      random_instance, solver)
 from cspelim.consistency import arc_records, revise_to_fixpoint
-from cspelim.trace import SingletonWitness, TraceEntry, capture_snapshot
+from cspelim.trace import TraceEntry, capture_snapshot
 from conftest import (broken_triangle_instance, clique_instance,
                       degree_gap_instance, disjoint_union,
                       random_tree_instance, small_random, star_instance,
@@ -326,7 +326,7 @@ def test_singletons_on_arc_consistent_input(gap_inst):
     reduced, entries = eliminate_singletons(ac)
     assert [e.var for e in entries] == [0]
     assert entries[0].rule == "singleton"
-    assert entries[0].witness.value == 0
+    assert entries[0].witness == 0
     assert entries[0].deletions == ()
     assert reduced.variables == (1, 2)
     assert is_arc_consistent(reduced)
@@ -374,8 +374,7 @@ def rescan_singletons(inst):
         value = cur.dom(single)[0]
         doms, rels = capture_snapshot(cur, single)
         log, ok = eliminate_variable(cur, single)
-        entries.append(TraceEntry("singleton", single,
-                                  SingletonWitness(value), doms, rels,
+        entries.append(TraceEntry("singleton", single, value, doms, rels,
                                   deletions=tuple(log)))
         if not ok:
             break

@@ -23,7 +23,6 @@ from cspelim.engines.triangle import TriangleEngine, _candidates, _losses
 from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
 from cspelim.patterns import checker_accepts, justifies
-from cspelim.trace import DeSnakeWitness
 from conftest import (random_tree_instance, small_random, star_instance,
                       structured_families)
 
@@ -580,7 +579,7 @@ def recorded_snake_run(rule, ac, ns, reference):
                 for v_j in iter_bits(inst.dom_mask(j) & ~row):
                     u_map[(j, v_j)] = reference_replacement(
                         inst, self.vars_plus_minus, i, j, v_j, row)
-            return DeSnakeWitness(v_i, u_map)
+            return v_i, u_map
 
     reduced, entries = Recorded(ac.copy()).run(ns)
     return reduced, entries, log
@@ -939,7 +938,7 @@ def test_justifiers_are_live_at_elimination_time():
         _, entries = run_engine(ac, "triangle")
         gone = set()
         for entry in entries:
-            assert entry.witness.justifier not in gone, seed
+            assert entry.witness[0] not in gone, seed
             gone.add(entry.var)
 
 

@@ -171,9 +171,9 @@ def test_verify_one_compares_whole_trace_entries(monkeypatch):
     def padded_run(inst, rule):
         reduced, entries = run_engine(inst, rule)
         first = entries[0]
-        u_map = {**first.witness.u_map, (first.var, 0): 0}
-        entries[0] = replace(first, witness=replace(first.witness,
-                                                    u_map=u_map))
+        value, u_map = first.witness
+        u_map = {**u_map, (first.var, 0): 0}
+        entries[0] = replace(first, witness=(value, u_map))
         return reduced, entries
 
     star = star_instance(5)

@@ -405,7 +405,7 @@ def test_reconstruction_extension_guarantee():
 
 def test_reconstruction_unknown_witness(star):
     _, entries = naive_fixpoint(star(5), "de-snake")
-    bogus = dataclasses.replace(entries[0], witness=None)
+    bogus = dataclasses.replace(entries[0], rule="bogus")
     with pytest.raises(ReconstructionError):
         reconstruct_solution(star(5), [bogus] + list(entries[1:]), {})
 

@@ -131,9 +131,8 @@ def test_trace_text_shape(star):
 def test_external_names_on_disk():
     # shifted value names must appear verbatim in the file
     from cspelim import Instance, make_entry
-    from cspelim.trace import SingletonWitness
     inst = Instance.build([[7, 9], [4, 6]], {(0, 1): [(7, 4), (9, 6)]})
-    entry = make_entry(inst, "singleton", 0, SingletonWitness(1))
+    entry = make_entry(inst, "singleton", 0, 1)
     text = format_trace([entry], inst)
     assert "snapvar 0 2 7 9" in text
     back, _ = parse_trace(text, inst)
@@ -145,7 +144,7 @@ def test_write_trace_targets(tmp_path, star):
     _, entries = run_engine(inst, "exists-snake")
     path = tmp_path / "trace.txt"
     write_trace(entries, inst, path, pre_deletions=[Deletion(1, 0, CAUSE_AC)])
-    back, pre = parse_trace(path, inst)
+    back, pre = parse_trace(path.read_text(), inst)
     assert back == entries
     assert pre == [Deletion(1, 0, CAUSE_AC)]
     buf = io.StringIO()
@@ -157,8 +156,9 @@ def test_parse_rejects_bad_traces(star):
     inst = star_instance(3)
     _, entries = run_engine(inst, "de-snake")
     good = format_trace(entries, inst)
-    with pytest.raises(ValueError):
-        parse_trace("nonsense\n", inst)
+    for text in ("nonsense\n", "", "TRACE 1"):
+        with pytest.raises(ValueError):
+            parse_trace(text, inst)
     with pytest.raises(ValueError):
         parse_trace(good.replace("TRACE 1", "TRACE 2"), inst)
     with pytest.raises(ValueError):
