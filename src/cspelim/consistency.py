@@ -70,6 +70,12 @@ def arc_records(relations: dict, neighbors: dict) -> tuple[list, list]:
     return into, arcs
 
 
+# The set-bit positions of each mask `revise_to_fixpoint` has read, keyed
+# by mask.  4,096 entries hold every mask of a 12-value domain.
+_BITS: dict = {}
+_BITS_BOUND = 1 << 12
+
+
 def revise_to_fixpoint(into: list, masks, queue: deque,
                        trail: list) -> tuple[int, int] | None:
     """AC-3 revise loop over live-value masks, narrowed in place.
@@ -78,26 +84,35 @@ def revise_to_fixpoint(into: list, masks, queue: deque,
     requeue table.  Popping (j, i, rows) keeps in ``masks[j]`` the values
     with a support in ``masks[i]``.  That is the OR of the reverse rows
     over ``masks[i]``, one row per live value of x_i, stopping as soon as
-    it covers ``masks[j]`` (Lecoutre and Vion, CPL 2008).  Each narrowing
-    pushes (j, old mask) on `trail`, so a caller can undo it.  When x_j
-    shrinks, every record of ``into[j]`` but the one from x_i is queued
-    again (duplicates included), so a pop costs no tuple hashing or
-    relation lookup.  Returns the arc (j, i) whose revision wiped x_j
-    out, or None at the fixpoint.  `masks` is indexed by variable, and
-    every mask must lie within its variable's live domain.
+    it covers ``masks[j]`` (Lecoutre and Vion, CPL 2008).  The live
+    values of ``masks[i]`` are read from `_BITS`, which maps a mask to
+    ``tuple(iter_bits(mask))``: filled on first read and cleared once it
+    holds `_BITS_BOUND` entries, so its size is bounded at any domain
+    width.  Each narrowing pushes (j, old mask) on `trail`, so a caller
+    can undo it.  When x_j shrinks, every record of ``into[j]`` but the
+    one from x_i is queued again (duplicates included), so a pop costs no
+    tuple hashing or relation lookup.  Returns the arc (j, i) whose
+    revision wiped x_j out, or None at the fixpoint.  `masks` is indexed
+    by variable, and every mask must lie within its variable's live
+    domain.
     """
     popleft = queue.popleft
+    bits_of = _BITS
     while queue:
         j, i, rows = popleft()
         mj = masks[j]
         mi = masks[i]
+        try:
+            bits = bits_of[mi]
+        except KeyError:
+            if len(bits_of) >= _BITS_BOUND:
+                bits_of.clear()
+            bits = bits_of[mi] = tuple(iter_bits(mi))
         sup = 0
-        while mi:
-            low = mi & -mi
-            sup |= rows[low.bit_length() - 1]
+        for v in bits:
+            sup |= rows[v]
             if not mj & ~sup:
                 break
-            mi ^= low
         else:
             kept = mj & sup
             if kept != mj:

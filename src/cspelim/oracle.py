@@ -229,9 +229,9 @@ def verify_one(ac: Instance, rule: str, seed: int) -> tuple[dict, bool]:
     reduced instances and the whole trace entries, which reconstruction
     reads, must be equal.  Returns (report row, ok flag).
 
-    Raises SizeGuardExceeded when the instance is too large to solve by
-    brute force, unless engine and fixpoint already disagree: then the
-    row comes back without its satisfiability columns and ok is False.
+    When the instance is too large to solve by brute force, the row's
+    satisfiability columns are empty strings and ok is whether engine
+    and fixpoint agree.
     """
     from .engines import run_engine
     from .solver import reconstruct_solution
@@ -250,9 +250,8 @@ def verify_one(ac: Instance, rule: str, seed: int) -> tuple[dict, bool]:
         sat_before = brute_force_solve(ac) is not None
         reduced_solution = brute_force_solve(eng_inst)
     except SizeGuardExceeded:
-        if agree:
-            raise
-        return row, False
+        row.update(sat_before="", sat_after="", reconstruction_ok="")
+        return row, agree
     sat_after = reduced_solution is not None
 
     recon_ok = True

@@ -14,6 +14,8 @@ Propagation is `revise_to_fixpoint`'s reverse-row revise over arc
 records built once per solve (`arc_records`): a queue pop reads its
 rows off the record, with no tuple hashing or relation lookup, and pops
 the same arcs in the same order as a queue of variable pairs would.
+The supporting domain's values come from a bounded cache of set-bit
+tuples keyed by mask, shared by every solve and every domain width.
 `reconstruct_solution` replays an elimination trace backwards,
 extending a solution of the reduced instance to the original.
 `preprocess` is the one reduction the `preprocess`, `solve` and

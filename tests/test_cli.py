@@ -218,9 +218,16 @@ VERIFY_TOO_LARGE = ["verify", "--rules", "exists-snake", "--count", "2",
 
 def test_verify_size_guard_skip_is_not_a_discrepancy(capsys):
     assert main(VERIFY_TOO_LARGE) == 0
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.count("search space exceeds") == 2
     assert "discrepancy" not in err
+    # the traces were compared, so each instance still gets its row
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["n_eliminated_naive"] == row["n_eliminated_engine"]
+        assert row["sat_before"] == row["sat_after"] == ""
+        assert row["reconstruction_ok"] == ""
 
 
 def test_verify_discrepancy_fails_despite_size_guard(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from cspelim import (CAUSE_AC, CAUSE_ELIM, CAUSE_NS, GeneratorConfig,
                      Instance, NotArcConsistentError, SearchConfig,
                      TimeBudgetExceeded, brute_force_solve, consistency,
                      eliminate_singletons, eliminate_variable, enforce_ac,
-                     is_arc_consistent, mac_solve, ns_fixpoint,
+                     is_arc_consistent, iter_bits, mac_solve, ns_fixpoint,
                      random_instance, solver)
 from cspelim.consistency import arc_records, revise_to_fixpoint
 from cspelim.trace import TraceEntry, capture_snapshot
@@ -275,6 +275,52 @@ def test_record_revise_matches_pair_revise_in_mac(monkeypatch):
         verdicts.add(log[-1])
     assert verdicts == {"verdict sat", "verdict unsat"}
     assert sum(arc is not None for arc in calls) >= 500
+
+
+def test_record_revise_matches_pair_revise_on_wide_domains(monkeypatch):
+    # 13 to 20 values per domain, more than the 4,096 cached masks can
+    # cover, near the threshold: MAC wipes out often, and at p2 = 0.8
+    # arc consistency alone wipes out three of the four
+    ac_calls, mac_calls = [], []
+    verdicts = set()
+    for seed in range(16):
+        inst = small_random(seed, n=16, d=13 + seed % 8, p1=0.5,
+                            p2=(0.55, 0.6, 0.65, 0.8)[seed % 4])
+        monkeypatch.setattr(consistency, "revise_to_fixpoint",
+                            checked_revise(inst, ac_calls))
+        enforce_ac(inst)
+        monkeypatch.setattr(solver, "revise_to_fixpoint",
+                            checked_revise(inst, mac_calls))
+        log = []
+        mac_solve(inst, SearchConfig(initial_backtracks=1), log)
+        verdicts.add(log[-1])
+    assert verdicts == {"verdict sat", "verdict unsat"}
+    assert sum(arc is not None for arc in ac_calls) >= 3
+    assert sum(arc is not None for arc in mac_calls) >= 500
+
+
+def test_revise_bit_cache_is_bounded():
+    # x_0 == x_1 over 13 values: revising x_0 against x_1 narrows x_0 to
+    # the mask of x_1, which is read through the cache; every 13-bit mask
+    # is twice the bound, so the cache is cleared on the way
+    bits_of = consistency._BITS
+    bound = consistency._BITS_BOUND
+    assert bound == 4096
+    rows = [1 << v for v in range(13)]
+    into = [[(1, 0, rows)], [(0, 1, rows)]]
+    full = (1 << 13) - 1
+    sizes = []
+    for mask in range(1, full + 1):
+        masks = [full, mask]
+        queue = deque([into[1][0]])
+        assert revise_to_fixpoint(into, masks, queue, []) is None
+        assert masks == [mask, mask] and not queue
+        assert bits_of[mask] == tuple(iter_bits(mask))
+        sizes.append(len(bits_of))
+    assert max(sizes) == bound
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+    assert all(bits == tuple(iter_bits(mask))
+               for mask, bits in bits_of.items())
 
 
 def test_ns_fixpoint_checks_deadline():
