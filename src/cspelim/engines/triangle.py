@@ -22,14 +22,21 @@ both are live, and a scan resumes only when a neighbour of x_i goes.
 The engine reads only whether x_i has a live justifier and which is
 the smallest, so x_i's candidates start in index order up to the first
 justifier; the rest wait until a neighbour of x_i or that justifier
-(`held`) goes.  A value with only full rows makes every live variable
-a justifier.  The rule is not hereditary: a queued x_i is still
+(`held`) goes.  The rule is not hereditary: a queued x_i is still
 resumed, and goes only if it still has a live justifier.  Its witness
 names the smallest and maps each v_j to the first v_i that covers it.
+
+Universal variables.  x_i is universal once some v_i has NF(v_i)
+empty: every row of v_i toward a live neighbour is full, so v_i is
+compatible with every v_j and covers it, and every other live variable
+justifies x_i.  NF only shrinks, so x_i stays universal; it is queued
+once, with no scans and no candidates, and its witness names the
+smallest other live variable.
 """
 
 from __future__ import annotations
 
+from ..consistency import check_deadline
 from ..model import iter_bits
 from .base import Engine
 
@@ -37,21 +44,24 @@ from .base import Engine
 def _losses(inst, i: int) -> dict:
     """v_i -> (x_k, the values v_i forbids there) at each neighbour x_k of
     x_i where v_i's row is not full; callers skip the x_k that are gone."""
-    return {v_i: [(k, m) for k in inst.neighbors(i)
-                  if (m := inst.dom_mask(k) & ~inst.row(i, k, v_i))]
-            for v_i in inst.dom(i)}
+    lose = {v_i: [] for v_i in inst.dom(i)}
+    for k in inst.neighbors(i):
+        dom_k, rows = inst.dom_mask(k), inst.relations[i, k]
+        for v_i, losses in lose.items():
+            if m := dom_k & ~rows[v_i]:
+                losses.append((k, m))
+    return lose
 
 
-def _candidates(inst, i: int, lose: dict):
-    """The live x_j that pass x_i's structural filter, in index order."""
+def _candidates(inst, i: int, lose: dict) -> list:
+    """The live x_j that pass the structural filter of x_i, which is not
+    universal, in index order."""
     live = inst.live
     closed = {k: {k, *inst.neighbors(k)} for k in inst.neighbors(i)}
     found = set()
     for losses in lose.values():
-        nf = [k for k, _ in losses if k in live]
-        if not nf:
-            return (j for j in inst.variables if j != i)
-        found |= set.intersection(*[closed[k] for k in nf])
+        found |= set.intersection(*[closed[k] for k, _ in losses
+                                    if k in live])
     return sorted(found - {i})
 
 
@@ -78,14 +88,30 @@ class TriangleEngine(Engine):
     def initialise(self) -> None:
         # x_j -> the x_i whose candidates wait while x_j justifies them
         self.held: dict = {}
-        self.lose = {i: _losses(self.inst, i) for i in self.inst.variables}
-        for i in self.inst.variables:
+        self.universal: set = set()
+        # the variables in index order; those before `gone` are all gone
+        self.order = self.inst.variables
+        self.gone = 0
+        self.lose = {i: _losses(self.inst, i) for i in self.order}
+        for i in self.order:
             self._extend(i)
 
     def _extend(self, i: int) -> None:
-        """Start x_i's candidates below its smallest live justifier in
-        index order, stopping at the first that runs out."""
+        """Queue x_i once if it is universal; else start its candidates
+        below its smallest live justifier in index order, stopping at
+        the first that runs out."""
+        if i in self.universal:
+            return
         inst, scans, lose = self.inst, self.scans[i], self.lose[i]
+        live = inst.live
+        if any(all(k not in live for k, _ in losses)
+               for losses in lose.values()):
+            # as `watch` does, so set-up stops within one variable
+            check_deadline(self.deadline)
+            self.universal.add(i)
+            scans.clear()
+            self.push(i)
+            return
         first = min(self._justifiers(i), default=None)
         for j in _candidates(inst, i, lose):
             if first is not None and j > first:
@@ -103,11 +129,20 @@ class TriangleEngine(Engine):
                 if w is None and j in live]
 
     def revalidate(self, i: int) -> bool:
+        if i in self.universal:
+            return self.inst.n > 1
         return bool(self._justifiers(i))
 
     def witness(self, i: int) -> tuple:
         inst, lose = self.inst, self.lose[i]
-        j = min(self._justifiers(i))
+        if i in self.universal:
+            live, order = inst.live, self.order
+            while order[self.gone] not in live:
+                self.gone += 1
+            j = next(order[p] for p in range(self.gone, len(order))
+                     if order[p] != i and order[p] in live)
+        else:
+            j = min(self._justifiers(i))
         return j, {v_j: _cover(inst, j, i, lose, v_j) for v_j in inst.dom(j)}
 
     def propagate(self, var: int, neighbors: list) -> None:

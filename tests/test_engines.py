@@ -5,6 +5,8 @@ certified by its rule's checker (`certified_witnesses` in conftest)."""
 
 import gc
 import hashlib
+import os
+import sys
 import weakref
 from collections import Counter
 
@@ -14,20 +16,23 @@ import cspelim.engines.aebtp as aebtp_engine
 import cspelim.engines.base as engine_base
 import cspelim.engines.bt_degree as bt_degree_engine
 import cspelim.engines.snake as snake_engine
+import cspelim.engines.triangle as triangle_engine
 from cspelim import (ENGINES, MIN_LIVE, GeneratorConfig, Instance,
                      NotArcConsistentError, RULES, check_engine_precondition,
                      eliminate_singletons, enforce_ac, naive_fixpoint,
-                     random_instance, run_engine)
+                     parse_instance, random_instance, run_engine)
 from cspelim.engines.bt_degree import BrokenTriangleEngine
 from cspelim.engines.triangle import TriangleEngine, _candidates, _losses
 from cspelim.model import iter_bits
 from cspelim.oracle import battery_ac_instances
-from cspelim.patterns import checker_accepts, justifies
+from cspelim.patterns import check_triangle, checker_accepts, justifies
 from conftest import (random_tree_instance, small_random, star_instance,
                       structured_families)
 
 
 pytestmark = pytest.mark.usefixtures("certified_witnesses")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ac_instance(seed, **kw):
@@ -305,8 +310,9 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
     one of x_i's scans has run out exactly when the rule's checker
     accepts it: after initialisation and after each elimination, as the
     instance stands once the variable is gone.  For triangle that scan
-    is keyed by a live justifier.  This shows that `propagate` resumes
-    every scan an elimination can move."""
+    is keyed by a live justifier, or x_i is universal and needs none.
+    This shows that `propagate` resumes every scan an elimination can
+    move."""
     compared = [0]
 
     def compare(engine):
@@ -316,9 +322,10 @@ def test_extension_engine_tables_exact_for_every_variable(monkeypatch, rule):
         for i in inst.variables:
             # triangle keys its scans by justifier, the others by value
             # or by x_i itself
-            certified = any(w is None and (rule != "triangle"
-                                           or key in inst.live)
-                            for key, w in engine.scans[i].items())
+            certified = (i in getattr(engine, "universal", ())
+                         or any(w is None and (rule != "triangle"
+                                               or key in inst.live)
+                                for key, w in engine.scans[i].items()))
             assert certified == (checker_accepts(inst, rule, i)
                                  is not None), i
             compared[0] += 1
@@ -802,7 +809,8 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
     justifier; the started scans hold a live justifier exactly when x_i
     has one, and the smallest of them is x_i's smallest justifier; and
     an x_i that is not queued has no justifier.  x_i is queued only
-    while a started scan holds a live justifier."""
+    while a started scan holds a live justifier or once it is universal.
+    A universal x_i is queued, and every other live x_j justifies it."""
     engines = []
     compared = [0]
 
@@ -810,9 +818,14 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
         engine = engines[-1]
         inst = engine.inst
         for i in inst.variables:
-            started = engine._justifiers(i)
             found = [j for j in inst.variables
                      if j != i and justifies(inst, j, i) is not None]
+            if i in engine.universal:
+                assert found == [j for j in inst.variables if j != i], i
+                assert i in engine._queued, i
+                compared[0] += len(found)
+                continue
+            started = engine._justifiers(i)
             assert set(found) <= set(_candidates(inst, i,
                                                  _losses(inst, i))), i
             assert set(started) <= set(found), (i, started, found)
@@ -828,7 +841,7 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
     push = TriangleEngine.push
 
     def push_justified(self, i):
-        assert self._justifiers(i), i
+        assert i in self.universal or self._justifiers(i), i
         push(self, i)
 
     def initialise_then_compare(self):
@@ -853,6 +866,54 @@ def test_triangle_candidates_contain_every_justifier(monkeypatch):
     assert runs > 600 and compared[0] > 100000, (runs, compared[0])
 
 
+def planted_tree_ac(seed: int):
+    """`bench/gen.py`'s planted sparse family as a tree (no chords) at
+    n = 80, after AC and singleton removal."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    text, _ = gen.planted_sparse("tree/%d" % seed, 80, 4, 0, 0.3, 0.25)
+    ac, _, ok = enforce_ac(parse_instance(text))
+    assert ok
+    return eliminate_singletons(ac)[0]
+
+
+def test_triangle_universal_variables_are_queued_once(monkeypatch):
+    """On planted trees most variables become universal.  The engine's
+    trace is the naive fixpoint's, each universal witness is the
+    checker's, and a universal x_i never reaches `_candidates` again."""
+    engines = []
+    initialise, witness = TriangleEngine.initialise, TriangleEngine.witness
+    candidates = triangle_engine._candidates
+    checked = [0]
+
+    def initialise_recorded(self):
+        engines.append(self)
+        initialise(self)
+
+    def candidates_checked(inst, i, lose):
+        assert i not in engines[-1].universal, i
+        return candidates(inst, i, lose)
+
+    def witness_checked(self, i):
+        got = witness(self, i)
+        if i in self.universal:
+            assert got == check_triangle(self.inst, i), i
+            checked[0] += 1
+        return got
+
+    monkeypatch.setattr(TriangleEngine, "initialise", initialise_recorded)
+    monkeypatch.setattr(TriangleEngine, "witness", witness_checked)
+    monkeypatch.setattr(triangle_engine, "_candidates", candidates_checked)
+    for seed in range(3):
+        ac = planted_tree_ac(seed)
+        assert run_engine(ac, "triangle") == naive_fixpoint(ac, "triangle")
+        assert len(engines[-1].universal) > ac.n // 2, seed
+    assert checked[0] > 100, checked[0]
+
+
 def test_triangle_engine_scales_to_a_thousand_variables():
     """n = 1000, d = 10, e about 3000: every elimination's witness is
     certified by the checker, and the candidate pairs stay a few per
@@ -869,10 +930,10 @@ def test_triangle_engine_scales_to_a_thousand_variables():
 
 def test_triangle_scans_stop_at_the_first_justifier():
     """A third of this sparse instance's constraints have full rows, so
-    many variables have a value with only full rows there and every live
-    variable is their candidate.  Started in index order up to the first
-    justifier, the scans `initialise` starts stay linear in n; one per
-    candidate pair would be quadratic."""
+    many variables have a value with only full rows there: those are
+    universal and start no scans.  Started in index order up to the
+    first justifier, the scans `initialise` starts stay linear in n; one
+    per candidate pair would be quadratic."""
     ac, _, ok = enforce_ac(structured_families(0, 400, 4)["sparse"])
     assert ok and ac.n == 400
     engine = TriangleEngine(ac)
